@@ -14,9 +14,10 @@ Environment knobs:
 - ``REPRO_BENCH_SEED=N``    change the simulation seed;
 - ``REPRO_BENCH_RETRIES=N`` retries per failed simulation (default 1);
 - ``REPRO_BENCH_JOURNAL=PATH`` checkpoint completed cells to a JSONL
-  journal (see :mod:`repro.resilience.journal`) and reload them on the
+  journal (see :mod:`repro.fabric.journal`) and reload them on the
   next session, so an interrupted or crashed bench run resumes instead
-  of recomputing the whole sweep.
+  of recomputing the whole sweep. A journal written under a different
+  seed or base configuration is refused, not reused.
 
 Reports are printed and also written under ``benchmarks/results/``.
 """
@@ -27,10 +28,11 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.resilience import ResultJournal, RetryPolicy, run_with_retry
+from repro.fabric import ResultJournal, RetryPolicy
+from repro.fabric.journal import check_fingerprint, sweep_fingerprint
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
-from repro.sim.runner import run_workload
+from repro.sim.runner import ExperimentRunner
 from repro.sim.schemes import Scheme
 from repro.workloads.mixes import all_workload_names
 
@@ -78,11 +80,11 @@ class SweepCache:
     main sweep, or e.g. ``"threshold=8"`` for sensitivity variants
     registered via :meth:`config_for`.
 
-    Runs go through the resilience layer: transient failures are retried
-    under a deterministic backoff policy, and with ``REPRO_BENCH_JOURNAL``
-    set every completed cell is checkpointed atomically and reloaded on
-    the next session, so a crashed bench run loses at most the cell it
-    was computing.
+    Missing cells run through an :class:`ExperimentRunner`: transient
+    failures are retried under a deterministic backoff policy, and with
+    ``REPRO_BENCH_JOURNAL`` set every completed cell is checkpointed and
+    reloaded on the next session, so a crashed bench run loses at most
+    the cell it was computing.
     """
 
     def __init__(self) -> None:
@@ -96,27 +98,32 @@ class SweepCache:
         self._journal: Optional[ResultJournal] = None
         journal_path = os.environ.get("REPRO_BENCH_JOURNAL", "")
         if journal_path:
-            self._journal = ResultJournal(journal_path)
-            self._load_journal(journal_path)
+            self._journal = self._load_journal(ResultJournal(journal_path))
 
-    def _load_journal(self, journal_path: str) -> None:
+    def _load_journal(self, journal: ResultJournal) -> ResultJournal:
         """Reload previously checkpointed cells; start fresh otherwise.
 
         Journal keys pack the variant into the workload slot as
         ``variant|workload`` so the (workload, scheme) journal schema
-        carries the cache's three-part key unchanged.
+        carries the cache's three-part key unchanged. The meta record
+        carries the base config's fingerprint; a journal from another
+        seed or configuration raises ``CheckpointCorruptError``.
         """
+        fingerprint = sweep_fingerprint(self.base, [], [])
+        meta = {"seed": self.base.seed, "fingerprint": fingerprint}
         try:
-            contents = ResultJournal.load(journal_path)
+            contents = ResultJournal.load(journal.path)
         except FileNotFoundError:
-            self._journal.start({"seed": self.base.seed})
-            return
+            journal.start(meta)
+            return journal
+        check_fingerprint(journal.path, contents.meta, fingerprint)
         for (packed, scheme_name), record in contents.results.items():
             variant, _, workload = packed.partition("|")
             self._results[(variant, workload, Scheme(scheme_name))] = (
                 SimResult.from_json_dict(record)
             )
-        self._journal.resume_from(contents, {"seed": self.base.seed})
+        journal.resume_from(contents, meta)
+        return journal
 
     def register_variant(self, name: str, config: SystemConfig) -> None:
         existing = self._configs.get(name)
@@ -132,20 +139,7 @@ class SweepCache:
     ) -> SimResult:
         key = (variant, workload, scheme)
         if key not in self._results:
-            config = self._configs[variant]
-            result = run_with_retry(
-                run_workload,
-                (config, workload, scheme),
-                key=(variant, workload, scheme.value),
-                retry=self.retry,
-                seed=config.seed,
-            )
-            self._results[key] = result
-            self.runs_executed += 1
-            if self._journal is not None:
-                self._journal.append_result(
-                    f"{variant}|{workload}", scheme.value, result.to_json_dict()
-                )
+            self.ensure([workload], [scheme], variant)
         return self._results[key]
 
     def ensure(
@@ -155,11 +149,37 @@ class SweepCache:
         variant: str = "default",
     ) -> int:
         """Run every missing (workload, scheme) cell; returns how many
-        simulations actually executed."""
+        simulations actually executed.
+
+        The cells run as one sweep; a cell that exhausts its retries
+        raises its structured error (``JobCrashedError`` and kin).
+        """
+        workloads, schemes = list(workloads), list(schemes)
+        cached = {
+            (workload, scheme): self._results[(variant, workload, scheme)]
+            for workload in workloads
+            for scheme in schemes
+            if (variant, workload, scheme) in self._results
+        }
+        if len(cached) == len(workloads) * len(schemes):
+            return 0
+        runner = ExperimentRunner(
+            self._configs[variant], workloads, schemes, retry=self.retry
+        )
+        runner.results.update(cached)
         before = self.runs_executed
-        for workload in workloads:
-            for scheme in schemes:
-                self.get(workload, scheme, variant)
+
+        def record(workload: str, scheme: Scheme, result: SimResult) -> None:
+            self._results[(variant, workload, scheme)] = result
+            self.runs_executed += 1
+            if self._journal is not None:
+                self._journal.append_result(
+                    f"{variant}|{workload}", scheme.value, result.to_json_dict()
+                )
+
+        runner.run_all(progress=record)
+        if runner.failures:
+            raise next(iter(runner.failures.values())).to_error()
         return self.runs_executed - before
 
 

@@ -18,7 +18,7 @@ Quickstart::
 
 from repro.core import RRMConfig, RegionRetentionMonitor
 from repro.pcm import DriftModel, DriftParameters, WriteMode, WriteModeTable
-from repro.resilience import FailedRun, FaultPlan, ResultJournal, RetryPolicy
+from repro.fabric import FailedRun, FaultPlan, ResultJournal, RetryPolicy
 from repro.sim import (
     ExperimentRunner,
     MemoryConfig,

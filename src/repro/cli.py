@@ -78,11 +78,11 @@ from repro.errors import (
     ReproError,
     TraceFormatError,
 )
+from repro.fabric import FaultPlan, RetryPolicy
 from repro.lint import render_json, render_text, run_lint
 from repro.obs import (
     DEFAULT_RULES,
     KIND_RUN,
-    KIND_SWEEP,
     LedgerEntry,
     RunLedger,
     RunProgress,
@@ -99,7 +99,6 @@ from repro.obs import (
     write_baseline,
 )
 from repro.profiling import DEFAULT_DIFF_TOLERANCE
-from repro.resilience import FaultPlan, RetryPolicy
 from repro.pcm.write_modes import WriteModeTable
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
@@ -296,37 +295,25 @@ def cmd_sweep(args) -> int:
     reporter = (
         SweepProgress(len(workloads) * len(schemes)) if args.progress else None
     )
-    fabric = args.jobs > 1
-    if args.profile and not fabric:
-        # Serial sweep cells run inside supervisor subprocesses, where a
-        # sampler in this coordinator process would see nothing.
-        print(
-            "error: sweep --profile needs --jobs > 1 (fabric workers "
-            "sample themselves; serial cells run in subprocesses an "
-            "in-process sampler cannot see)",
-            file=sys.stderr,
-        )
-        return 2
     flight_dir = args.flight_dir
-    if flight_dir is None and fabric and args.journal:
-        # A journalled fabric sweep gets flight recorders by default so
+    if flight_dir is None and args.journal:
+        # A journalled sweep gets flight recorders by default so
         # injected/real crashes stay explainable from the journal alone.
         flight_dir = f"{args.journal}.flight"
     runner = ExperimentRunner(
         config,
         workloads=workloads,
         schemes=schemes,
-        n_workers=args.workers,
         n_jobs=args.jobs,
         timeout_s=args.timeout,
         retry=RetryPolicy(max_retries=args.retries),
         journal_path=args.journal,
-        # On the fabric, workers append per-worker ledger shards that are
-        # merged deterministically; serially the loop below appends.
-        ledger_path=args.ledger if fabric else None,
-        profile_path=args.profile if fabric else None,
+        # Workers append per-worker ledger shards that are merged
+        # deterministically (sorted by name) when the sweep settles.
+        ledger_path=args.ledger,
+        profile_path=args.profile,
         fault_plan=fault_plan,
-        recorder_dir=flight_dir if fabric else None,
+        recorder_dir=flight_dir,
         on_event=reporter.on_event if reporter is not None else None,
         **({"tracer": tracer} if tracer is not None else {}),
     )
@@ -344,21 +331,14 @@ def cmd_sweep(args) -> int:
     finally:
         if reporter is not None:
             reporter.close()
-    if args.ledger:
-        if not fabric:
-            ledger = RunLedger(args.ledger)
-            for (workload, scheme), result in sorted(
-                runner.results.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-            ):
-                ledger.append(
-                    LedgerEntry.from_result(result, config, kind=KIND_SWEEP)
-                )
-        print(
-            f"{len(runner.results)} ledger entries appended to {args.ledger}",
-            file=sys.stderr,
-        )
-    if runner.fabric_stats is not None:
-        stats = runner.fabric_stats
+    stats = runner.fabric_stats
+    if stats is not None:
+        if args.ledger:
+            print(
+                f"{stats.jobs_completed} ledger entries appended to "
+                f"{args.ledger}",
+                file=sys.stderr,
+            )
         print(
             f"fabric: {stats.n_workers} workers, "
             f"{stats.jobs_completed} ok / {stats.jobs_failed} failed, "
@@ -380,8 +360,8 @@ def cmd_sweep(args) -> int:
         from repro.utils.persist import atomic_write_text
 
         registry = MetricRegistry()
-        if runner.fabric_stats is not None:
-            runner.fabric_stats.register_metrics(registry)
+        if stats is not None:
+            stats.register_metrics(registry)
         if runner.fleet is not None:
             runner.fleet.register_metrics(registry)
         atomic_write_text(Path(args.metrics_out), render_exposition(registry))
@@ -1076,14 +1056,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--workloads", nargs="*", default=None)
     p_sweep.add_argument("--schemes", nargs="*", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="shard the sweep across N worker processes on the "
-        "work-stealing fabric; results are bit-identical to --jobs 1 "
+        help="worker processes on the work-stealing fabric (default 1); "
+        "results are bit-identical for any N "
         "(composes with --journal/--resume/--inject-faults)",
     )
     p_sweep.add_argument("--output", default=None, help="JSON output path")
@@ -1124,7 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="record a wall-clock orchestration trace (job attempts, "
-        "retries, failures, journal appends) in Chrome-trace format",
+        "results, retries, failures, fabric events) in Chrome-trace "
+        "format",
     )
     p_sweep.add_argument(
         "--progress",
@@ -1148,16 +1128,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         default=None,
         metavar="FILE",
-        help="sample every fabric worker's stacks and write the merged "
-        "profile artifact here (requires --jobs > 1; observational — "
-        "results stay bit-identical)",
+        help="sample every worker's stacks and write the merged "
+        "profile artifact here (observational — results stay "
+        "bit-identical)",
     )
     p_sweep.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
-        help="per-worker crash flight-recorder directory (fabric only; "
-        "default: <journal>.flight when --journal is given)",
+        help="per-worker crash flight-recorder directory "
+        "(default: <journal>.flight when --journal is given)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

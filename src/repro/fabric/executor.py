@@ -2,7 +2,7 @@
 
 :class:`FabricExecutor` shards a sweep's (workload, scheme) jobs across
 N worker processes over one shared checkpoint journal
-(:class:`~repro.fabric.sharedjournal.SharedJournal`). Each worker owns a
+(:class:`~repro.fabric.journal.ResultJournal`). Each worker owns a
 round-robin shard of the matrix and drains it first; when its shard is
 empty it *steals* unclaimed jobs from the rest of the sweep, so an
 unlucky shard full of slow cells never idles the fleet.
@@ -21,8 +21,10 @@ Everything hard rides on the journal:
   :meth:`ExperimentRunner.resume` path, because the journal *is* the
   queue.
 
-Results are bit-identical to serial execution for the same seeds: the
-fabric only changes *where* each deterministic simulation runs.
+It is the only sweep executor: ``n_jobs=1`` is a one-worker fleet.
+Results are bit-identical to an in-process
+:func:`~repro.sim.runner.run_workload` for the same seeds: the fabric
+only changes *where* each deterministic simulation runs.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.fabric.sharedjournal import Key, SharedJournal
-from repro.resilience.faultinject import FaultPlan, corrupt_result, trigger_fault
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import FailedRun
+from repro.fabric.faultinject import FaultPlan, corrupt_result, trigger_fault
+from repro.fabric.journal import Key, ResultJournal
+from repro.fabric.policy import FailedRun, RetryPolicy
 from repro.sim.metrics import SimResult
-from repro.sim.runner import _validate_sim_result, run_workload
 from repro.sim.schemes import Scheme
 
 #: Coordinator poll period: drain events, check liveness, check the
@@ -83,7 +83,7 @@ class FabricStats:
     #: Per-worker wall seconds spent inside simulations.
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
 
-    def reset(self, *, n_workers: int = 0, jobs_total: int = 0) -> None:
+    def reset(self, n_workers: int = 0, *, jobs_total: int = 0) -> None:
         """Zero every counter in place for a new sweep.
 
         In place rather than rebinding a fresh instance so that holders
@@ -179,10 +179,12 @@ def _fabric_worker_main(
     pickle it. All communication is one-way: durable records go to the
     shared journal, advisory lifecycle events go to the *events* queue.
     """
+    # Imported lazily; repro.sim.runner in particular imports this module.
     from repro.obs.live.heartbeat import HEARTBEAT_EVENT, make_heartbeat
     from repro.obs.live.slog import StructuredLogger
+    from repro.sim.runner import _validate_sim_result, run_workload
 
-    journal = SharedJournal(journal_path)
+    journal = ResultJournal(journal_path)
     ledger = None
     if ledger_part is not None:
         from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger
@@ -406,14 +408,14 @@ class FabricExecutor:
     Args:
         n_jobs: worker process count.
         journal_path: the shared queue/checkpoint journal. ``None``
-            uses a throwaway journal in a temp directory (parallelism
+            uses a throwaway journal in a temp directory (execution
             without persistence).
         lease_s: claim lease duration; a crashed worker's job becomes
             stealable after this long even if the coordinator also died.
         timeout_s: per-attempt wall-clock limit, enforced by killing the
             worker (its whole process: one claim at a time per worker).
         retry: retry policy for failed/crashed/timed-out attempts.
-        fault_plan: optional fault injection (bound to the job keys).
+        fault_plan: optional fault injection (bound to the sweep matrix).
         seed: seeds the retry jitter schedule.
         ledger_path: when set, each worker appends its cells to a
             ``<ledger>.w<N>.part.jsonl`` shard and the coordinator
@@ -426,7 +428,7 @@ class FabricExecutor:
             into one profile at this path. Sampling is observational:
             results stay bit-identical.
         on_event: observability hook ``(name, args)`` receiving the
-            supervisor-compatible job lifecycle stream (``job.attempt``
+            job lifecycle stream (``job.attempt``
             / ``job.result`` / ``job.retry`` / ``job.failed``) plus
             fabric events (``fabric.steal``, ``fabric.respawn``,
             ``fabric.release``, ``fabric.worker.done``). ``job.result``
@@ -485,7 +487,7 @@ class FabricExecutor:
         self.on_failure = on_failure
         self._clock = clock
         self.recorder_dir = recorder_dir
-        self.stats = FabricStats(n_workers=n_jobs)
+        self.stats = FabricStats(n_jobs)
         #: Aggregated worker heartbeats; live while a sweep runs.
         self.fleet = FleetStatus(clock=clock)
 
@@ -503,20 +505,24 @@ class FabricExecutor:
         max_events: Optional[int] = None,
         meta: Optional[dict] = None,
         fresh: bool = True,
+        done: Collection[Key] = (),
     ) -> FabricOutcome:
         """Execute the sweep matrix and return the merged outcome.
 
         With ``fresh=True`` the journal is (re)started with *meta*; with
         ``fresh=False`` the existing journal is taken as-is — results
-        already in it are treated as done (the resume path).
+        already in it are treated as done (the resume path). Keys in
+        *done* are results the caller already holds; they are not run.
+        Fault-plan targets resolve against the full matrix either way.
         """
-        keys: List[Key] = [
+        matrix: List[Key] = [
             (w, s.value) for w in workloads for s in schemes
         ]
-        if len(set(keys)) != len(keys):
+        if len(set(matrix)) != len(matrix):
             raise ConfigError("sweep job keys must be unique")
         if self.fault_plan:
-            self.fault_plan.bind(keys)
+            self.fault_plan.bind(matrix)
+        keys = [key for key in matrix if key not in done]
 
         tmp_dir = None
         journal_path = self.journal_path
@@ -524,11 +530,11 @@ class FabricExecutor:
             tmp_dir = tempfile.TemporaryDirectory(prefix="repro-fabric-")
             journal_path = Path(tmp_dir.name) / "journal.jsonl"
             fresh = True
-        journal = SharedJournal(journal_path)
+        journal = ResultJournal(journal_path)
         if fresh or not Path(journal_path).exists():
             journal.start(meta or {})
 
-        self.stats.reset(n_workers=self.n_jobs, jobs_total=len(keys))
+        self.stats.reset(self.n_jobs, jobs_total=len(keys))
         self.fleet.clear()
         if self.recorder_dir is not None:
             Path(self.recorder_dir).mkdir(parents=True, exist_ok=True)
@@ -770,24 +776,21 @@ class FabricExecutor:
         return healed
 
     def _settle_orphan(self, journal, slot, kind, error_type, message):
-        """Turn a dead worker's outstanding lease into a retry or failure."""
-        contents = journal.load()
-        orphans: List[Tuple[Key, int]] = []
-        if slot.active is not None:
-            key, attempt, _ = slot.active
-            if key not in contents.settled():
-                orphans.append((key, attempt))
-        else:
-            # No attempt event reached us; recover the lease from the
-            # journal (the worker may have died right after claiming).
-            for key, claims in contents.claims.items():
-                if key in contents.settled():
-                    continue
-                releases = contents.releases.get(key, ())
-                if len(claims) > len(releases) and (
-                    claims[-1].get("worker") == slot.worker_id
-                ):
-                    orphans.append((key, claims[-1].get("attempt", 1)))
+        """Turn a dead worker's outstanding lease into a retry or failure.
+
+        The journal, not the event stream, says which lease the slot
+        held: a worker that dies by ``os._exit`` can take its last
+        unflushed events with it, leaving ``slot.active`` stale or unset.
+        """
+        contents = journal.read()
+        settled = contents.settled()
+        orphans: List[Tuple[Key, int]] = [
+            (key, claims[-1].get("attempt", 1))
+            for key, claims in contents.claims.items()
+            if key not in settled
+            and len(claims) > len(contents.releases.get(key, ()))
+            and claims[-1].get("worker") == slot.worker_id
+        ]
         slot.active = None
         for key, attempt in orphans:
             if self.retry.should_retry(attempt, error_type):
@@ -839,7 +842,7 @@ class FabricExecutor:
     # ------------------------------------------------------------------
     def _reconcile(self, journal, keys, delivered) -> FabricOutcome:
         """The journal is the truth; events were just the live stream."""
-        contents = journal.load()
+        contents = journal.read()
         outcome = FabricOutcome()
         for key in keys:
             if key in contents.results:

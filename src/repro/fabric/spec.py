@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.fabric.faultinject import FaultPlan, FaultSpec
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme, all_schemes, scheme_from_name
 from repro.workloads.mixes import all_workload_names
@@ -50,8 +51,6 @@ class SweepSpec:
             raise ConfigError(
                 f"max_events must be >= 1, got {self.max_events}"
             )
-        from repro.resilience.faultinject import FaultSpec
-
         for spec in self.faults:
             FaultSpec.parse(spec)
 
@@ -106,12 +105,10 @@ class SweepSpec:
         return [(w, s) for w in self.workloads for s in self.schemes]
 
     def build_fault_plan(self):
-        """The spec's :class:`~repro.resilience.faultinject.FaultPlan`,
+        """The spec's :class:`~repro.fabric.faultinject.FaultPlan`,
         or ``None`` when no faults are requested."""
         if not self.faults:
             return None
-        from repro.resilience.faultinject import FaultPlan
-
         return FaultPlan.parse(self.faults)
 
     # ------------------------------------------------------------------

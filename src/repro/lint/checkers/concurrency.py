@@ -3,8 +3,8 @@ RL010 exception-safe-lock, RL011 wallclock-lease-logic.
 
 PR 6 made exactly-once claiming depend on real concurrency primitives:
 flock sidecars, O_EXCL fallbacks, lease records, daemon threads. These
-rules lint the orchestration packages (``resilience``, ``fabric``,
-``obs``) for the bug classes that silently break exactly-once semantics
+rules lint the orchestration packages (``fabric``, ``obs``,
+``profiling``) for the bug classes that silently break exactly-once semantics
 and serial/parallel bit-identity. They share the per-module call graph
 and lock-context dataflow in :mod:`repro.lint.callgraph`.
 """
@@ -104,7 +104,7 @@ class LockDisciplineChecker(Checker):
                 f"{reason} outside any lock scope",
                 hint="wrap the call in `with <lock>:`, or move it into a "
                 "`*_locked` helper whose callers hold the lock "
-                "(see SharedJournal._append_locked)",
+                "(see ResultJournal._append_locked)",
             )
         return out
 
@@ -320,7 +320,7 @@ class WallclockLeaseChecker(Checker):
     and supervision deadlines computed from a direct ``time.time()`` /
     ``time.monotonic()`` call cannot be unit-tested without sleeping and
     cannot be replayed; an injected ``clock=`` callable (the pattern of
-    ``SharedJournal.claim_next`` and ``RunProgress``) can. Passive
+    ``ResultJournal.claim_next`` and ``RunProgress``) can. Passive
     measurement (``elapsed``, ``busy_s``, ``wall_s``, ``recorded_*``)
     is exempt.
     """
@@ -356,7 +356,7 @@ class WallclockLeaseChecker(Checker):
                 f"direct `{target}()` in lease/timeout logic "
                 f"(`{owner.qualname}`)",
                 hint="inject the clock (e.g. a `clock=time.monotonic` "
-                "parameter, as in SharedJournal.claim_next) so expiry "
+                "parameter, as in ResultJournal.claim_next) so expiry "
                 "logic is testable without sleeping",
             )
         return out

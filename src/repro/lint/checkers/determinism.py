@@ -116,7 +116,7 @@ class WallClockChecker(Checker):
                     node,
                     f"wall-clock read `{target}()` on the simulation path",
                     hint="use Simulator.now (simulated ns); host-time "
-                    "measurement belongs in telemetry/resilience, or "
+                    "measurement belongs in telemetry/fabric, or "
                     "justify with `# repro-lint: disable=RL001`",
                 )
         return out

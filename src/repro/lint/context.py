@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 #: ``repro`` sub-packages that form the simulation path: code here runs
 #: under the discrete-event clock and must be bit-deterministic. The
-#: orchestration (``resilience``), observability (``telemetry``),
+#: orchestration (``fabric``), observability (``telemetry``),
 #: reporting (``analysis``) and input-generation (``workloads``) layers
 #: legitimately touch the host environment.
 SIM_PATH_PACKAGES = frozenset(
@@ -37,7 +37,7 @@ SIM_PATH_PACKAGES = frozenset(
 #: journals, run ledgers) and must uphold lock discipline, atomic
 #: persistence, and loud failure — the concurrency/durability rules
 #: RL007–RL012 target exactly these layers.
-ORCH_PATH_PACKAGES = frozenset({"resilience", "fabric", "obs", "profiling"})
+ORCH_PATH_PACKAGES = frozenset({"fabric", "obs", "profiling"})
 
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"

@@ -8,10 +8,10 @@ environment fingerprint — git revision, seed, configuration hash,
 package version — so two entries can always be judged comparable (or
 not) before their numbers are compared.
 
-Durability follows the checkpoint-journal convention
-(:mod:`repro.resilience.journal`): appends go through a temp file +
-``os.replace`` so readers never see a torn file, the loader drops a
-truncated *final* line, and corruption anywhere earlier raises
+Durability: appends go through a temp file + ``os.replace`` so readers
+never see a torn file; like the checkpoint journal's loader
+(:mod:`repro.fabric.journal`), the ledger loader drops a truncated
+*final* line, and corruption anywhere earlier raises
 :class:`~repro.errors.LedgerCorruptError`.
 """
 
@@ -274,9 +274,8 @@ def merge_ledgers(
     """Merge per-worker ledger shards into one ledger, deterministically.
 
     Workers append in completion order, which varies run to run; the
-    merge sorts by ``(kind, name)`` so the combined ledger is ordered
-    exactly like a serial sweep's (the CLI appends serial sweep entries
-    sorted by workload/scheme). Lease-expiry races can make two workers
+    merge sorts by ``(kind, name)`` so the combined ledger's order does
+    not depend on the worker count or on scheduling. Lease-expiry races can make two workers
     record the same cell — with *dedupe* (the default) only the first
     entry per ``(kind, name)`` survives, matching the journal's
     exactly-once merge. Missing part files are skipped (that worker

@@ -9,7 +9,7 @@ correlation chain that threads the fabric together::
 
 A :class:`StructuredLogger` is cheap to fork: :meth:`bind` returns a
 child that shares the parent's sink (stream, lock, counters) and merges
-in extra fields, so the supervisor binds ``sweep``, hands workers a
+in extra fields, so the server binds ``sweep``, hands workers a
 logger bound to ``worker``, and each attempt binds ``job``/``attempt`` —
 every line downstream carries the whole chain without any call site
 threading ids by hand.

@@ -8,7 +8,7 @@ Two reporters, one line each, both opt-in via ``--progress``:
   unobserved one) and reports percent complete, simulated vs wall time,
   engine event throughput, a wall-clock ETA, and the memory-controller
   queue depths.
-- :class:`SweepProgress` consumes the supervisor's ``on_event`` stream
+- :class:`SweepProgress` consumes the sweep fabric's ``on_event`` stream
   (``job.attempt`` / ``job.result`` / ``job.retry`` / ``job.failed``)
   and reports settled/failed/running counts across the sweep.
 
@@ -177,11 +177,12 @@ class RunProgress:
 
 
 class SweepProgress:
-    """Single-line sweep progress fed by supervisor lifecycle events.
+    """Single-line sweep progress fed by job lifecycle events.
 
     Wire :meth:`on_event` into
     :class:`~repro.sim.runner.ExperimentRunner` (or directly into a
-    :class:`~repro.resilience.supervisor.JobSupervisor`).
+    :class:`~repro.fabric.executor.FabricExecutor`), which forwards its
+    workers' events for any ``n_jobs``.
     """
 
     def __init__(
@@ -213,7 +214,7 @@ class SweepProgress:
         registry.gauge(f"{prefix}.failed", lambda: self.failed)
 
     def on_event(self, name: str, args: dict) -> None:
-        """Supervisor hook: update counters and redraw the line."""
+        """Lifecycle hook: update counters and redraw the line."""
         if name == "job.attempt":
             self.attempts += 1
         elif name == "job.result":

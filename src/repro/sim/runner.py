@@ -1,14 +1,14 @@
 """Experiment orchestration: sweeps over workloads and schemes.
 
-Runs are independent, so the runner fans them out through the
-:mod:`repro.resilience` supervisor: each (workload, scheme) job gets a
-per-attempt wall-clock timeout, bounded deterministic retries, and crash
-isolation, so one bad job degrades to a structured :class:`FailedRun`
-instead of aborting the sweep. With a ``journal_path`` every settled job
-is checkpointed to an append-only JSONL journal, and :meth:`resume`
-restarts an interrupted sweep from its surviving results. Aggregation
-helpers follow the paper's reporting conventions and tolerate sweeps
-with failed cells.
+Runs are independent, so the runner fans them out on the sweep fabric
+(:class:`~repro.fabric.executor.FabricExecutor`, one or more worker
+processes): each (workload, scheme) job gets a per-attempt wall-clock
+timeout, bounded deterministic retries, and crash isolation, so one bad
+job degrades to a structured :class:`FailedRun` instead of aborting the
+sweep. With a ``journal_path`` every settled job is checkpointed to an
+append-only JSONL journal, and :meth:`resume` restarts an interrupted
+sweep from its surviving results. Aggregation helpers follow the
+paper's reporting conventions and tolerate sweeps with failed cells.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import CheckpointCorruptError, ConfigError
-from repro.resilience import (
-    FailedRun,
-    FaultPlan,
-    Job,
-    JobSupervisor,
+from repro.errors import ConfigError
+from repro.fabric.executor import FabricExecutor
+from repro.fabric.faultinject import FaultPlan
+from repro.fabric.journal import (
     ResultJournal,
-    RetryPolicy,
+    check_fingerprint,
+    sweep_fingerprint,
 )
-from repro.resilience.journal import sweep_fingerprint
+from repro.fabric.policy import FailedRun, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
 from repro.sim.schemes import Scheme, all_schemes
@@ -61,15 +60,8 @@ def run_workload(
     return system.run(max_events=max_events)
 
 
-def _run_job(config, workload, scheme_value, max_events) -> SimResult:
-    """Supervised-job entry point (must be module-level for pickling)."""
-    return run_workload(
-        config, workload, Scheme(scheme_value), max_events=max_events
-    )
-
-
 def _validate_sim_result(key, value) -> Optional[str]:
-    """Result validation run supervisor-side; non-None marks corruption."""
+    """Validate one job's result; a non-None message marks corruption."""
     workload, scheme_value = key
     if not isinstance(value, SimResult):
         return f"expected a SimResult, got {type(value).__name__}"
@@ -92,34 +84,31 @@ class ExperimentRunner:
             exponential backoff and seeded jitter).
         journal_path: optional JSONL checkpoint journal; every settled
             job is appended atomically so a crashed sweep can resume.
-        n_jobs: when > 1, the sweep runs on the sharded fabric
-            (:class:`~repro.fabric.executor.FabricExecutor`): N worker
-            processes share the journal as a work-stealing queue.
-            Results are bit-identical to ``n_jobs=1`` for the same
-            seeds. Distinct from *n_workers*, which sizes the serial
-            supervisor's crash-isolation subprocess pool.
-        lease_s: fabric claim lease duration (ignored serially).
-        ledger_path: optional run ledger; fabric workers append their
-            cells to per-worker shards which are merged deterministically
-            when the sweep completes (ignored serially — the CLI appends
-            serial sweeps itself).
-        profile_path: optional sampling-profile artifact (fabric mode
-            only): each worker samples its own stacks and the merged
-            profile lands here when the sweep completes. Ignored
-            serially — serial cells run inside supervisor subprocesses,
-            where an in-coordinator sampler would see nothing.
+            Without one the fleet queues through a throwaway journal.
+        n_jobs: worker process count. The sweep always runs on the
+            fabric (:class:`~repro.fabric.executor.FabricExecutor`); the
+            workers share the journal as a work-stealing queue, and
+            results are bit-identical for any ``n_jobs``.
+        lease_s: claim lease duration.
+        ledger_path: optional run ledger; workers append their cells to
+            per-worker shards which are merged deterministically (sorted
+            by name) when the sweep completes.
+        profile_path: optional sampling-profile artifact: each worker
+            samples its own stacks and the merged profile lands here
+            when the sweep completes.
         fault_plan: optional fault-injection plan (tests / drills).
         tracer: optional wall-clock :class:`~repro.telemetry.Tracer`
-            (``Tracer.wallclock()``); job lifecycle transitions and
-            journal appends are recorded as instant events (category
-            ``sweep`` / ``journal``), giving an orchestration timeline.
+            (``Tracer.wallclock()``); job lifecycle transitions are
+            recorded as instant events (category ``sweep``), giving an
+            orchestration timeline.
         on_event: optional ``(name, args)`` observer for the same
-            supervisor lifecycle events the tracer sees (``job.attempt``
-            / ``job.result`` / ``job.retry`` / ``job.failed``); used by
+            lifecycle events the tracer sees (``job.attempt`` /
+            ``job.result`` / ``job.retry`` / ``job.failed``, plus the
+            ``fabric.*`` events); used by
             :class:`~repro.obs.progress.SweepProgress`.
         recorder_dir: optional directory for per-worker crash flight
-            recorders (fabric mode only); crash/timeout failure records
-            then carry a ``recorder_path`` post-mortem pointer.
+            recorders; crash/timeout failure records then carry a
+            ``recorder_path`` post-mortem pointer.
     """
 
     def __init__(
@@ -129,7 +118,6 @@ class ExperimentRunner:
         schemes: Optional[Iterable[Scheme]] = None,
         *,
         max_events: Optional[int] = None,
-        n_workers: int = 1,
         n_jobs: int = 1,
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
@@ -142,8 +130,6 @@ class ExperimentRunner:
         on_event=None,
         recorder_dir=None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         if n_jobs < 1:
             raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
         if max_events is not None and max_events < 1:
@@ -154,7 +140,6 @@ class ExperimentRunner:
         self.workloads = list(workloads) if workloads else all_workload_names()
         self.schemes = list(schemes) if schemes else all_schemes()
         self.max_events = max_events
-        self.n_workers = n_workers
         self.n_jobs = n_jobs
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
@@ -168,19 +153,16 @@ class ExperimentRunner:
         self.recorder_dir = recorder_dir
         self.results: Dict[ResultKey, SimResult] = {}
         self.failures: Dict[ResultKey, FailedRun] = {}
-        #: Live FabricStats during an n_jobs > 1 sweep (set before the
-        #: fleet starts, zeroed in place per sweep), so observers can
-        #: scrape mid-run.
+        #: Live FabricStats during a sweep (set before the fleet starts,
+        #: zeroed in place per sweep), so observers can scrape mid-run.
         self.fabric_stats = None
-        #: Live FleetStatus (aggregated worker heartbeats) during an
-        #: n_jobs > 1 sweep.
+        #: Live FleetStatus (aggregated worker heartbeats) during a sweep.
         self.fleet = None
-        self._journal: Optional[ResultJournal] = None
         self._resumed = False
 
-    def _on_supervisor_event(self, name: str, args: dict) -> None:
-        """Forward supervisor lifecycle transitions to the sweep tracer
-        and to any external observer (e.g. a progress reporter)."""
+    def _on_fabric_event(self, name: str, args: dict) -> None:
+        """Forward fleet lifecycle transitions to the sweep tracer and
+        to any external observer (e.g. a progress reporter)."""
         self.tracer.instant(name, "sweep", args=args)
         if self.on_event is not None:
             self.on_event(name, args)
@@ -199,68 +181,12 @@ class ExperimentRunner:
             progress: Optional callable ``(workload, scheme, result)``
                 invoked after each run (e.g. to print a line).
         """
-        if self.n_jobs > 1:
-            return self._run_fabric(progress)
-        jobs = [
-            Job(
-                key=(workload, scheme.value),
-                fn=_run_job,
-                args=(self.config, workload, scheme.value, self.max_events),
-            )
+        done = {(workload, scheme.value) for workload, scheme in self.results}
+        if all(
+            (workload, scheme.value) in done
             for workload in self.workloads
             for scheme in self.schemes
-            if (workload, scheme) not in self.results
-        ]
-        if not jobs:
-            return self.results
-
-        journal = self._ensure_journal()
-
-        def on_result(key, result) -> None:
-            workload, scheme_value = key
-            scheme = Scheme(scheme_value)
-            self.results[(workload, scheme)] = result
-            self.failures.pop((workload, scheme), None)
-            if journal is not None:
-                journal.append_result(
-                    workload, scheme_value, result.to_json_dict()
-                )
-            if progress is not None:
-                progress(workload, scheme, result)
-
-        def on_failure(failed: FailedRun) -> None:
-            workload, scheme_value = failed.key
-            self.failures[(workload, Scheme(scheme_value))] = failed
-            if journal is not None:
-                journal.append_failure(workload, scheme_value, failed.as_dict())
-
-        supervisor = JobSupervisor(
-            self.n_workers,
-            timeout_s=self.timeout_s,
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            seed=self.config.seed,
-            validate=_validate_sim_result,
-            on_event=(
-                self._on_supervisor_event
-                if (self.tracer.enabled or self.on_event is not None)
-                else None
-            ),
-        )
-        supervisor.run(jobs, on_result=on_result, on_failure=on_failure)
-        return self.results
-
-    def _run_fabric(self, progress=None) -> Dict[ResultKey, SimResult]:
-        """Route the sweep through the sharded multiprocess fabric."""
-        from repro.fabric.executor import FabricExecutor
-
-        remaining = [
-            (workload, scheme)
-            for workload in self.workloads
-            for scheme in self.schemes
-            if (workload, scheme) not in self.results
-        ]
-        if not remaining:
+        ):
             return self.results
 
         def on_result(key, result) -> None:
@@ -286,7 +212,7 @@ class ExperimentRunner:
             ledger_path=self.ledger_path,
             profile_path=self.profile_path,
             on_event=(
-                self._on_supervisor_event
+                self._on_fabric_event
                 if (self.tracer.enabled or self.on_event is not None)
                 else None
             ),
@@ -308,6 +234,7 @@ class ExperimentRunner:
             # resume() already seeded the journal with surviving results;
             # a fresh start here would wipe them.
             fresh=not self._resumed,
+            done=done,
         )
         # The journal is the truth; events were only the live stream.
         for (workload, scheme_value), result in outcome.results.items():
@@ -318,64 +245,21 @@ class ExperimentRunner:
                 self.failures[key] = failed
         return self.results
 
-    def _ensure_journal(self) -> Optional[ResultJournal]:
-        """The active journal, starting a fresh one on first use."""
-        if self.journal_path is None:
-            return None
-        if self._journal is None:
-            self._journal = ResultJournal(self.journal_path, tracer=self.tracer)
-            self._journal.start(self._journal_meta())
-        return self._journal
+    def _fingerprint(self) -> Dict[str, str]:
+        return sweep_fingerprint(
+            self.config,
+            self.workloads,
+            [s.value for s in self.schemes],
+            self.max_events,
+        )
 
     def _journal_meta(self) -> dict:
         return {
             "seed": self.config.seed,
             "workloads": list(self.workloads),
             "schemes": [s.value for s in self.schemes],
-            "fingerprint": sweep_fingerprint(
-                self.config,
-                self.workloads,
-                [s.value for s in self.schemes],
-                self.max_events,
-            ),
+            "fingerprint": self._fingerprint(),
         }
-
-    def _validate_fingerprint(self, path, meta: Optional[dict]) -> None:
-        """Refuse to resume a journal written for a different sweep.
-
-        Journals carry a ``fingerprint`` in their meta record (config
-        hash + sweep-spec hash). A mismatch means the resuming runner
-        would silently mix results from different configurations, so it
-        raises :class:`CheckpointCorruptError` instead. Journals from
-        before fingerprinting (no ``fingerprint`` key) are trusted
-        as-is.
-        """
-        recorded = (meta or {}).get("fingerprint")
-        if not isinstance(recorded, dict):
-            return
-        expected = sweep_fingerprint(
-            self.config,
-            self.workloads,
-            [s.value for s in self.schemes],
-            self.max_events,
-        )
-        mismatched = [
-            name
-            for name in ("config_sha256", "spec_sha256")
-            if recorded.get(name) != expected[name]
-        ]
-        if mismatched:
-            detail = ", ".join(
-                f"{name}: journal {str(recorded.get(name))[:12]}… != "
-                f"sweep {expected[name][:12]}…"
-                for name in mismatched
-            )
-            raise CheckpointCorruptError(
-                f"{path}: journal belongs to a different sweep ({detail}). "
-                "Resuming would mix results across configurations; re-run "
-                "with the journal's original config/workloads/schemes/"
-                "max-events, or delete the journal to start over."
-            )
 
     # ------------------------------------------------------------------
     def resume(self, path=None, progress=None) -> Dict[ResultKey, SimResult]:
@@ -390,7 +274,7 @@ class ExperimentRunner:
         if path is None:
             raise ConfigError("resume() needs a journal path")
         contents = ResultJournal.load(path)
-        self._validate_fingerprint(path, contents.meta)
+        check_fingerprint(path, contents.meta, self._fingerprint())
         domain = {
             (w, s.value) for w in self.workloads for s in self.schemes
         }
@@ -405,8 +289,7 @@ class ExperimentRunner:
         # Journaled failures are *not* preloaded into self.failures: their
         # pairs are missing from self.results, so run_all re-runs them.
         self.journal_path = path
-        self._journal = ResultJournal(path, tracer=self.tracer)
-        self._journal.resume_from(contents, self._journal_meta())
+        ResultJournal(path).resume_from(contents, self._journal_meta())
         self._resumed = True
         return self.run_all(progress=progress)
 

@@ -21,10 +21,10 @@ class TestParser:
 
     def test_sweep_options(self):
         args = build_parser().parse_args(
-            ["sweep", "--workloads", "hmmer", "mcf", "--workers", "4"]
+            ["sweep", "--workloads", "hmmer", "mcf", "--jobs", "4"]
         )
         assert args.workloads == ["hmmer", "mcf"]
-        assert args.workers == 4
+        assert args.jobs == 4
 
     def test_sweep_resilience_options(self):
         args = build_parser().parse_args(
@@ -419,11 +419,22 @@ class TestProfileCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_serial_sweep_profile_guard(self, capsys, tmp_path):
+    def test_one_job_sweep_profiles_and_ledgers(self, capsys, tmp_path):
+        """--jobs 1 is a one-worker fleet: it samples itself and writes
+        the ledger like any other worker count."""
+        from repro.obs import RunLedger
+        from repro.profiling import load_profile
+
+        profile, ledger = tmp_path / "p.json", tmp_path / "l.jsonl"
         code = main(
-            ["sweep", "--workloads", "hmmer", "--schemes", "rrm",
-             "--config", "tiny", "--duration", "0.01",
-             "--profile", str(tmp_path / "p.json")]
+            ["sweep", "--workloads", "hmmer", "GemsFDTD",
+             "--schemes", "rrm", "static-7", "--config", "tiny",
+             "--duration", "0.01", "--jobs", "1",
+             "--profile", str(profile), "--ledger", str(ledger)]
         )
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert code == 0
+        assert "merged worker profile written" in capsys.readouterr().err
+        assert load_profile(profile).meta["n_jobs"] == 1
+        names = [entry.name for entry in RunLedger.load(ledger)]
+        assert len(names) == 4
+        assert names == sorted(names)

@@ -22,15 +22,17 @@ from repro.fabric import (
     FabricClient,
     FabricExecutor,
     FabricServer,
+    FaultPlan,
     FileLock,
-    SharedJournal,
+    ResultJournal,
+    RetryPolicy,
     SweepSpec,
     parse_address,
 )
+from repro.fabric.journal import sweep_fingerprint
 from repro.obs.gate import GateRule, compare_samples
 from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger, merge_ledgers
 from repro.obs.progress import SweepProgress, _LineWriter
-from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner, run_workload
 from repro.sim.schemes import Scheme
@@ -55,7 +57,7 @@ def _locked_increment(path, counter, rounds) -> None:
 
 
 def _hammer_claims(journal_path, worker_id, shard, all_keys) -> None:
-    journal = SharedJournal(journal_path)
+    journal = ResultJournal(journal_path)
     while True:
         claim = journal.claim_next(
             worker_id, shard, all_keys, lease_s=60.0
@@ -126,14 +128,14 @@ class TestFileLock:
 
 
 # ----------------------------------------------------------------------
-# SharedJournal
+# The journal as a work queue
 # ----------------------------------------------------------------------
-class TestSharedJournal:
+class TestJournalQueue:
     def keys(self, n=6):
         return [(f"w{i}", "rrm") for i in range(n)]
 
     def test_claim_prefers_own_shard_then_steals(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(4)
         shard0 = keys[0::2]
@@ -146,7 +148,7 @@ class TestSharedJournal:
         assert stolen.key == keys[1] and stolen.stolen
 
     def test_outstanding_lease_blocks_reclaim_until_expiry(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(1)
         now = [1000.0]
@@ -159,7 +161,7 @@ class TestSharedJournal:
         assert second.key == keys[0] and second.attempt == 2
 
     def test_release_returns_job_to_queue(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(1)
         claim = journal.claim_next(0, keys, keys, lease_s=60.0)
@@ -171,7 +173,7 @@ class TestSharedJournal:
         """N processes racing over one journal settle every job exactly
         once and leave no torn lines."""
         path = tmp_path / "j.jsonl"
-        SharedJournal(path).start({"seed": 1})
+        ResultJournal(path).start({"seed": 1})
         keys = self.keys(12)
         n_workers = 4
         procs = [
@@ -199,7 +201,7 @@ class TestSharedJournal:
 
     def test_torn_tail_is_repaired_on_next_append(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal = SharedJournal(path)
+        journal = ResultJournal(path)
         journal.start({})
         journal.append_result("w0", "rrm", {"ok": 1})
         # Simulate a writer dying mid-line (no trailing newline).
@@ -213,11 +215,11 @@ class TestSharedJournal:
         assert ("w0", "rrm") in contents.results
         assert ("w1", "rrm") in contents.results
 
-    def test_loads_with_plain_result_journal(self, tmp_path):
-        """Fabric journals stay readable by the serial loader, leases
-        and all — and resume_from drops the leases."""
+    def test_resume_from_drops_leases(self, tmp_path):
+        """Lease records load with everything else — and resume_from
+        drops them along with failures."""
         path = tmp_path / "j.jsonl"
-        journal = SharedJournal(path)
+        journal = ResultJournal(path)
         journal.start({"seed": 7})
         keys = self.keys(2)
         journal.claim_next(0, keys, keys, lease_s=60.0)
@@ -225,11 +227,65 @@ class TestSharedJournal:
         contents = ResultJournal.load(path)
         assert contents.meta["seed"] == 7
         assert keys[0] in contents.claims
-        serial = ResultJournal(path)
-        serial.resume_from(contents, {"seed": 7})
+        ResultJournal(path).resume_from(contents, {"seed": 7})
         resumed = ResultJournal.load(path)
         assert not resumed.claims and not resumed.releases
         assert keys[0] in resumed.results
+
+    @pytest.mark.parametrize("writer", ["single-writer", "queue"])
+    def test_older_journal_formats_resume(self, tmp_path, writer):
+        """Journals in both formats earlier releases wrote — one rewritten
+        per append without lease records, or the worker queue's with
+        leases and worker ids — load and resume: only the failed cell
+        re-runs."""
+        config = tiny_config()
+        workloads, schemes = ["hmmer"], [Scheme.STATIC_7, Scheme.STATIC_3]
+        kept, lost = (("hmmer", s.value) for s in schemes)
+        kept_result = run_workload(
+            config, "hmmer", Scheme.STATIC_7, max_events=FAST
+        ).to_json_dict()
+        meta = {
+            "type": "meta", "version": 1, "seed": config.seed,
+            "workloads": workloads, "schemes": [s.value for s in schemes],
+            "fingerprint": sweep_fingerprint(
+                config, workloads, [s.value for s in schemes], FAST
+            ),
+        }
+        result = {"type": "result", "workload": kept[0], "scheme": kept[1],
+                  "result": kept_result}
+        failure = {"type": "failure", "workload": lost[0], "scheme": lost[1],
+                   "failure": {"key": list(lost), "kind": "crash",
+                               "message": "boom", "attempts": 1}}
+        if writer == "single-writer":
+            records = [meta, result, failure]
+        else:
+            def claim(key, worker, attempt):
+                return {"type": "claim", "workload": key[0],
+                        "scheme": key[1], "worker": worker,
+                        "attempt": attempt, "expires_unix_s": 1e12}
+
+            records = [
+                meta, claim(kept, 0, 1), claim(lost, 1, 1),
+                {**result, "worker": 0},
+                {"type": "release", "workload": lost[0], "scheme": lost[1],
+                 "worker": 1, "reason": "crash"},
+                claim(lost, 1, 2), {**failure, "worker": 1},
+            ]
+        path = tmp_path / "j.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        runner = ExperimentRunner(
+            config, workloads=workloads, schemes=schemes, max_events=FAST,
+            journal_path=path,
+        )
+        reran = []
+        runner.resume(progress=lambda w, s, r: reran.append((w, s)))
+        assert reran == [("hmmer", Scheme.STATIC_3)]
+        assert runner.result("hmmer", Scheme.STATIC_7).to_json_dict() == (
+            kept_result
+        )
+        contents = ResultJournal.load(path)
+        assert set(contents.results) == {kept, lost}
+        assert not contents.failures
 
 
 # ----------------------------------------------------------------------
@@ -322,27 +378,28 @@ class TestFabricExecutor:
     SCHEMES = [Scheme.STATIC_7]
 
     def test_bit_identical_to_serial(self, tmp_path):
-        serial = ExperimentRunner(
-            tiny_config(),
-            workloads=self.WORKLOADS,
-            schemes=self.SCHEMES,
-            max_events=FAST,
-        )
-        serial.run_all()
-        fabric = ExperimentRunner(
-            tiny_config(),
-            workloads=self.WORKLOADS,
-            schemes=self.SCHEMES,
-            max_events=FAST,
-            n_jobs=2,
-            journal_path=tmp_path / "j.jsonl",
-        )
-        fabric.run_all()
-        assert set(serial.results) == set(fabric.results)
-        for key in serial.results:
-            assert _comparable(serial.results[key]) == _comparable(
-                fabric.results[key]
-            ), key
+        """The fleet's results equal in-process run_workload, cell by
+        cell, whatever the worker count."""
+        serial = {
+            (w, s): run_workload(tiny_config(), w, s, max_events=FAST)
+            for w in self.WORKLOADS
+            for s in self.SCHEMES
+        }
+        for n_jobs in (1, 2):
+            fabric = ExperimentRunner(
+                tiny_config(),
+                workloads=self.WORKLOADS,
+                schemes=self.SCHEMES,
+                max_events=FAST,
+                n_jobs=n_jobs,
+                journal_path=tmp_path / f"j{n_jobs}.jsonl",
+            )
+            fabric.run_all()
+            assert set(serial) == set(fabric.results)
+            for key in serial:
+                assert _comparable(serial[key]) == _comparable(
+                    fabric.results[key]
+                ), (n_jobs, key)
         stats = fabric.fabric_stats
         assert stats.n_workers == 2
         assert stats.jobs_completed == 2
@@ -450,6 +507,28 @@ class TestFabricExecutor:
         assert all("sim_events_per_sec" in e.metrics for e in entries)
         # No stray part files left behind.
         assert list(tmp_path.glob("*.part.jsonl")) == []
+
+    def test_orphaned_lease_is_found_in_the_journal(self, tmp_path):
+        """A worker that dies by os._exit can lose its last unflushed
+        events, leaving the coordinator's view of it stale; the journal
+        still names the lease it held, so it is released for a retry
+        instead of blocking the queue until the lease expires."""
+        from repro.fabric.executor import _WorkerSlot
+
+        journal = ResultJournal(tmp_path / "j.jsonl")
+        journal.start({})
+        keys = [("w0", "rrm"), ("w1", "rrm")]
+        journal.claim_next(0, keys, keys, lease_s=300.0)
+        journal.append_result(*keys[0], {"ok": 1}, worker=0)
+        journal.claim_next(0, keys, keys, lease_s=300.0)
+        # The last event that reached the coordinator was for keys[0].
+        slot = _WorkerSlot(worker_id=0, shard=keys, active=(keys[0], 1, 0.0))
+        executor = FabricExecutor(1, retry=RetryPolicy(max_retries=1))
+        executor._settle_orphan(
+            journal, slot, "crash", "JobCrashedError", "worker died"
+        )
+        assert len(journal.read().releases[keys[1]]) == 1
+        assert executor.stats.retries == 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):

@@ -83,7 +83,7 @@ class TestRegistry:
 
     def test_orch_path_packages_match_issue_contract(self):
         assert ORCH_PATH_PACKAGES == {
-            "resilience", "fabric", "obs", "profiling",
+            "fabric", "obs", "profiling",
         }
         assert not (ORCH_PATH_PACKAGES & SIM_PATH_PACKAGES)
 

@@ -14,7 +14,14 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.fabric import FabricClient, FabricServer, SweepSpec
+from repro.fabric import (
+    FabricClient,
+    FabricServer,
+    FaultPlan,
+    ResultJournal,
+    RetryPolicy,
+    SweepSpec,
+)
 from repro.obs.live import (
     HEARTBEAT_EVENT,
     FleetStatus,
@@ -29,7 +36,6 @@ from repro.obs.live import (
 from repro.obs.live.httpmetrics import MetricsHTTPServer
 from repro.obs.live.slog import parse_log_line
 from repro.obs.live.top import format_fleet_lines, render_frame, run_top
-from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
 from repro.sim.schemes import Scheme

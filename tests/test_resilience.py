@@ -1,10 +1,9 @@
-"""Tests for the resilience layer: supervisor, retries, journal, faults."""
+"""Tests for sweep resilience: retries, journal, faults, failure kinds."""
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 
 import pytest
@@ -12,20 +11,13 @@ import pytest
 from repro.errors import (
     CheckpointCorruptError,
     ConfigError,
+    CorruptResultError,
     JobCrashedError,
     JobTimeoutError,
     ReproError,
     ResilienceError,
 )
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    Job,
-    JobSupervisor,
-    ResultJournal,
-    RetryPolicy,
-    run_with_retry,
-)
+from repro.fabric import FaultPlan, FaultSpec, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
 from repro.sim.runner import ExperimentRunner, run_workload
@@ -35,37 +27,8 @@ from repro.sim.schemes import Scheme
 NO_RETRY = RetryPolicy(max_retries=0, base_delay_s=0.0)
 QUICK_RETRY = RetryPolicy(max_retries=2, base_delay_s=0.001, max_delay_s=0.01)
 
-
-# ----------------------------------------------------------------------
-# Module-level worker functions (picklable / fork-able)
-# ----------------------------------------------------------------------
-def _double(x):
-    return 2 * x
-
-
-def _boom():
-    raise ValueError("boom")
-
-
-def _bad_config():
-    raise ConfigError("deterministically wrong")
-
-
-def _hard_exit():
-    os._exit(9)
-
-
-def _sleep_long():
-    time.sleep(600)
-
-
-def _fail_first_attempts(counter_path, n_failures, value):
-    """Crash the process until *counter_path* records n_failures attempts."""
-    count = int(counter_path.read_text()) if counter_path.exists() else 0
-    counter_path.write_text(str(count + 1))
-    if count < n_failures:
-        os._exit(7)
-    return value
+#: Event cap that keeps each simulated cell well under a second.
+FAST = 20_000
 
 
 class TestRetryPolicy:
@@ -136,98 +99,133 @@ class TestFaultSpecs:
         assert plan.fault_for(("w", "s"), 3) is None
 
 
-class TestSupervisorInline:
-    def test_results_in_order(self):
-        sup = JobSupervisor(retry=NO_RETRY)
-        seen = []
-        results, failures = sup.run(
-            [Job(key=(i,), fn=_double, args=(i,)) for i in range(3)],
-            on_result=lambda key, value: seen.append((key, value)),
+def _sweep(n_jobs, workloads=("hmmer",), schemes=(Scheme.STATIC_7,), **kw):
+    """A FAST tiny sweep on *n_jobs* workers, already run."""
+    runner = ExperimentRunner(
+        SystemConfig.tiny(),
+        workloads=list(workloads),
+        schemes=list(schemes),
+        max_events=FAST,
+        n_jobs=n_jobs,
+        **kw,
+    )
+    runner.run_all()
+    return runner
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+class TestRunnerFailureKinds:
+    """Each failure kind a sweep cell can degrade to, at one and two
+    workers: the executor is the same either way."""
+
+    def test_worker_crash_is_isolated(self, n_jobs):
+        runner = _sweep(
+            n_jobs,
+            schemes=[Scheme.STATIC_7, Scheme.STATIC_3],
+            retry=NO_RETRY,
+            fault_plan=FaultPlan.parse(["crash:hmmer/static-3"]),
         )
-        assert results == {(0,): 0, (1,): 2, (2,): 4}
-        assert not failures
-        assert seen == [((0,), 0), ((1,), 2), ((2,), 4)]
-
-    def test_error_degrades_to_failed_run(self):
-        sup = JobSupervisor(retry=QUICK_RETRY, sleep=lambda s: None)
-        results, failures = sup.run(
-            [Job(key=("bad",), fn=_boom), Job(key=("good",), fn=_double, args=(1,))]
-        )
-        assert results == {("good",): 2}
-        failed = failures[("bad",)]
-        assert failed.kind == "error"
-        assert failed.attempts == 3  # 1 try + 2 retries
-        assert "boom" in failed.message
-
-    def test_config_error_fails_fast(self):
-        sup = JobSupervisor(retry=QUICK_RETRY, sleep=lambda s: None)
-        _, failures = sup.run([Job(key=("cfg",), fn=_bad_config)])
-        assert failures[("cfg",)].attempts == 1
-
-    def test_run_with_retry_raises_structured_error(self):
-        with pytest.raises(JobCrashedError):
-            run_with_retry(_boom, key=("x",), retry=NO_RETRY)
-        assert run_with_retry(_double, (21,), key=("x",), retry=NO_RETRY) == 42
-
-
-class TestSupervisorSubprocess:
-    def test_worker_crash_is_isolated(self):
-        sup = JobSupervisor(2, retry=NO_RETRY)
-        results, failures = sup.run(
-            [
-                Job(key=("a",), fn=_double, args=(2,)),
-                Job(key=("dead",), fn=_hard_exit),
-                Job(key=("b",), fn=_double, args=(3,)),
-            ]
-        )
-        assert results == {("a",): 4, ("b",): 6}
-        failed = failures[("dead",)]
+        assert list(runner.results) == [("hmmer", Scheme.STATIC_7)]
+        failed = runner.failures[("hmmer", Scheme.STATIC_3)]
         assert failed.kind == "crash"
         assert isinstance(failed.to_error(), JobCrashedError)
         assert isinstance(failed.to_error(), ResilienceError)
         assert isinstance(failed.to_error(), ReproError)
 
-    def test_hang_hits_timeout(self):
-        sup = JobSupervisor(2, timeout_s=0.3, retry=NO_RETRY)
-        started = time.monotonic()
-        results, failures = sup.run(
-            [Job(key=("hung",), fn=_sleep_long), Job(key=("ok",), fn=_double, args=(1,))]
+    def test_error_degrades_to_failed_run(self, n_jobs):
+        runner = _sweep(
+            n_jobs, retry=QUICK_RETRY, fault_plan=FaultPlan.parse(["error:0"])
         )
-        assert time.monotonic() - started < 30
-        assert results == {("ok",): 2}
-        failed = failures[("hung",)]
+        failed = runner.failures[("hmmer", Scheme.STATIC_7)]
+        assert failed.kind == "error"
+        assert failed.attempts == 3  # 1 try + 2 retries
+        assert "injected worker error" in failed.message
+
+    def test_hang_hits_timeout(self, n_jobs):
+        started = time.monotonic()
+        runner = _sweep(
+            n_jobs,
+            schemes=[Scheme.STATIC_7, Scheme.STATIC_3],
+            timeout_s=2.0,
+            retry=NO_RETRY,
+            fault_plan=FaultPlan.parse(["hang:0"]),
+        )
+        assert time.monotonic() - started < 60
+        assert list(runner.results) == [("hmmer", Scheme.STATIC_3)]
+        failed = runner.failures[("hmmer", Scheme.STATIC_7)]
         assert failed.kind == "timeout"
         assert isinstance(failed.to_error(), JobTimeoutError)
 
-    def test_retry_then_succeed(self, tmp_path):
-        counter = tmp_path / "attempts"
-        sup = JobSupervisor(1, timeout_s=30, retry=QUICK_RETRY)
-        results, failures = sup.run(
-            [Job(key=("flaky",), fn=_fail_first_attempts, args=(counter, 2, 99))]
+    def test_corrupt_fault_caught_by_validation(self, n_jobs):
+        runner = _sweep(
+            n_jobs, retry=NO_RETRY, fault_plan=FaultPlan.parse(["corrupt:0"])
         )
-        assert not failures
-        assert results == {("flaky",): 99}
-        assert counter.read_text() == "3"
-        assert [(key, attempt) for key, attempt, _ in sup.retries_scheduled] == [
-            (("flaky",), 1),
-            (("flaky",), 2),
+        failed = runner.failures[("hmmer", Scheme.STATIC_7)]
+        assert failed.kind == "corrupt"
+        assert "IPC" in failed.message
+        assert isinstance(failed.to_error(), CorruptResultError)
+
+    def test_config_error_is_not_retried(self, n_jobs):
+        runner = _sweep(n_jobs, workloads=["no-such-workload"], retry=QUICK_RETRY)
+        failed = runner.failures[("no-such-workload", Scheme.STATIC_7)]
+        assert failed.message.startswith("ConfigError")
+        assert failed.attempts == 1
+
+    def test_retry_then_succeed(self, n_jobs, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        runner = _sweep(
+            n_jobs,
+            retry=QUICK_RETRY,
+            fault_plan=FaultPlan.parse(["crash:0:1"]),
+            journal_path=journal,
+        )
+        assert not runner.failures
+        assert runner.has_result("hmmer", Scheme.STATIC_7)
+        # Attempt numbers live in the journal: the crashed claim and the
+        # successful rerun.
+        claims = ResultJournal.load(journal).claims[
+            ("hmmer", Scheme.STATIC_7.value)
         ]
+        assert [c["attempt"] for c in claims] == [1, 2]
 
-    def test_corrupt_fault_caught_by_validation(self):
-        plan = FaultPlan.parse(["corrupt:0"])
-        sup = JobSupervisor(
-            1,
-            retry=NO_RETRY,
-            fault_plan=plan,
-            validate=lambda key, v: None if isinstance(v, int) else "not an int",
+    def test_duplicate_keys_rejected(self, n_jobs):
+        runner = ExperimentRunner(
+            SystemConfig.tiny(),
+            workloads=["hmmer", "hmmer"],
+            schemes=[Scheme.STATIC_7],
+            n_jobs=n_jobs,
         )
-        _, failures = sup.run([Job(key=("c",), fn=_double, args=(1,))])
-        assert failures[("c",)].kind == "corrupt"
+        with pytest.raises(ConfigError, match="unique"):
+            runner.run_all()
 
-    def test_duplicate_keys_rejected(self):
-        sup = JobSupervisor(retry=NO_RETRY)
-        with pytest.raises(ValueError):
-            sup.run([Job(key=("k",), fn=_double, args=(1,))] * 2)
+    def test_lifecycle_event_sequences(self, n_jobs):
+        seen = []
+        _sweep(
+            n_jobs,
+            schemes=[Scheme.STATIC_7, Scheme.STATIC_3],
+            retry=RetryPolicy(max_retries=1, base_delay_s=0.001),
+            fault_plan=FaultPlan.parse(["error:hmmer/static-3"]),
+            on_event=lambda name, args: seen.append((name, args)),
+        )
+
+        def lifecycle(scheme):
+            return [
+                (name, args)
+                for name, args in seen
+                if name.startswith("job.")
+                and args["key"] == ["hmmer", scheme.value]
+            ]
+
+        ok = lifecycle(Scheme.STATIC_7)
+        assert [name for name, _ in ok] == ["job.attempt", "job.result"]
+        failed = lifecycle(Scheme.STATIC_3)
+        assert [name for name, _ in failed] == [
+            "job.attempt", "job.retry", "job.attempt", "job.failed",
+        ]
+        failed_args = failed[-1][1]
+        assert failed_args["kind"] == "error"
+        assert failed_args["attempts"] == 2
+        assert "InjectedFaultError" in failed_args["message"]
 
 
 class TestJournal:
@@ -282,11 +280,11 @@ class TestJournal:
 
 
 class TestRunnerValidation:
-    def test_n_workers_must_be_positive(self):
+    def test_n_jobs_must_be_positive(self):
         with pytest.raises(ConfigError):
-            ExperimentRunner(SystemConfig.tiny(), n_workers=0)
+            ExperimentRunner(SystemConfig.tiny(), n_jobs=0)
         with pytest.raises(ConfigError):
-            ExperimentRunner(SystemConfig.tiny(), n_workers=-2)
+            ExperimentRunner(SystemConfig.tiny(), n_jobs=-2)
 
     def test_max_events_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -439,6 +437,34 @@ class TestSweepCacheJournal:
         assert second.runs_executed == 0
         assert reloaded.ipc == result.ipc
         assert reloaded.scheme is Scheme.STATIC_7
+        # A partly cached matrix runs only its missing cell.
+        assert second.ensure(["hmmer"], [Scheme.STATIC_7, Scheme.STATIC_3]) == 1
+
+    def test_seed_change_is_refused(self, tmp_path, monkeypatch):
+        from benchmarks.common import SweepCache
+
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        monkeypatch.setenv("REPRO_BENCH_SEED", "1")
+        monkeypatch.setenv(
+            "REPRO_BENCH_JOURNAL", str(tmp_path / "bench.jsonl")
+        )
+        SweepCache().get("hmmer", Scheme.STATIC_7)
+        # The next session runs another seed: its cells would differ, so
+        # the journal must not be reused.
+        monkeypatch.setenv("REPRO_BENCH_SEED", "2")
+        with pytest.raises(CheckpointCorruptError, match="different sweep"):
+            SweepCache()
+
+    def test_failed_cell_raises_structured_error(self, monkeypatch):
+        from benchmarks.common import SweepCache
+
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        monkeypatch.setenv("REPRO_BENCH_RETRIES", "0")
+        monkeypatch.delenv("REPRO_BENCH_JOURNAL", raising=False)
+        cache = SweepCache()
+        with pytest.raises(JobCrashedError, match="ConfigError"):
+            cache.get("no-such-workload", Scheme.STATIC_7)
+        assert cache.runs_executed == 0
 
 
 class TestDeterminism:

@@ -99,7 +99,7 @@ class TestParallel:
             SystemConfig.tiny(),
             workloads=["hmmer"],
             schemes=[Scheme.STATIC_7],
-            n_workers=2,
+            n_jobs=2,
         )
         parallel.run_all()
         a = serial.result("hmmer", Scheme.STATIC_7)

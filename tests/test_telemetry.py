@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigError, TraceFormatError
-from repro.resilience import Job, JobSupervisor, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
@@ -411,58 +410,6 @@ class TestTelemetryConfig:
             TelemetryConfig(ring_size=0)
         with pytest.raises(ConfigError):
             TelemetryConfig(metrics_interval_s=0)
-
-
-# ----------------------------------------------------------------------
-# Resilience telemetry (satellite: journal + FailedRun instants)
-# ----------------------------------------------------------------------
-def _ok_job():
-    return 42
-
-
-def _bad_job():
-    raise ValueError("boom")
-
-
-class TestSupervisorEvents:
-    def test_lifecycle_events_for_success(self):
-        seen = []
-        supervisor = JobSupervisor(
-            on_event=lambda name, args: seen.append((name, args))
-        )
-        supervisor.run([Job(key=("w", "s"), fn=_ok_job)])
-        assert [name for name, _ in seen] == ["job.attempt", "job.result"]
-        assert seen[0][1]["key"] == ["w", "s"]
-
-    def test_failed_run_emits_instant(self):
-        seen = []
-        supervisor = JobSupervisor(
-            retry=RetryPolicy(max_retries=1),
-            sleep=lambda s: None,
-            on_event=lambda name, args: seen.append((name, args)),
-        )
-        _, failures = supervisor.run([Job(key=("w", "s"), fn=_bad_job)])
-        assert ("w", "s") in failures
-        names = [name for name, _ in seen]
-        assert names == ["job.attempt", "job.retry", "job.attempt", "job.failed"]
-        failed_args = seen[-1][1]
-        assert failed_args["kind"] == "error"
-        assert failed_args["attempts"] == 2
-        assert "boom" in failed_args["message"]
-
-
-class TestJournalTelemetry:
-    def test_appends_emit_instants(self, tmp_path):
-        tracer = Tracer(_FakeClock())
-        journal = ResultJournal(tmp_path / "j.jsonl", tracer=tracer)
-        journal.start({"seed": 1})
-        journal.append_result("hmmer", "rrm", {"ipc": 1.0})
-        journal.append_failure("mcf", "s7", {"kind": "timeout"})
-        events = tracer.events()
-        assert [e.name for e in events] == ["journal.append", "journal.append"]
-        assert events[0].cat == "journal"
-        assert events[0].args["type"] == "result"
-        assert events[1].args["workload"] == "mcf"
 
 
 # ----------------------------------------------------------------------
