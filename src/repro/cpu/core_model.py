@@ -29,6 +29,10 @@ from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
 
 WorkloadEvent = Tuple[int, int, int, bool]
 
+# Hot-path aliases: looking a member up on its Enum class is slow.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+
 
 @dataclass(frozen=True)
 class CoreParams:
@@ -128,6 +132,8 @@ class CoreModel:
         self.sim = sim
         self.core_id = core_id
         self.params = params
+        #: ``params.ns_per_instruction``, computed once (params are frozen).
+        self._ns_per_instruction = params.ns_per_instruction
         self.stats = CoreStats()
         self._events = events
         self._controller = controller
@@ -162,35 +168,38 @@ class CoreModel:
         if self._wait not in (_W_NONE, _W_TIME):
             return  # a stale wake-up; the real wake path will re-enter
         self._wait = _W_NONE
+        sim = self.sim
+        stats = self.stats
+        end = self._end_time_ns
         while True:
-            if self._end_time_ns is not None and self._t >= self._end_time_ns:
+            if end is not None and self._t >= end:
                 return  # park: the measurement window is over for this core
 
             event = self._pending
             if event is None:
                 try:
-                    event = next(self._events)
+                    kind, gap, block, dirty = next(self._events)
                 except StopIteration:
                     self._exhausted = True
                     return
-                kind, gap, block, dirty = event
                 if gap:
-                    self._t += gap * self.params.ns_per_instruction
-                    self.stats.retired_instructions += gap
-                event = (kind, 0, block, dirty)
-            self._pending = event
-            kind, _, block, dirty = event
+                    self._t += gap * self._ns_per_instruction
+                    stats.retired_instructions += gap
+                # Pending with its gap spent, so a retry does not recount it.
+                self._pending = (kind, 0, block, dirty)
+            else:
+                kind, _, block, dirty = event
 
             # Anything with a time cost must happen at the cursor time.
-            if self._t > self.sim.now:
+            if self._t > sim.now:
                 self._wait = _W_TIME
-                self.sim.schedule_at(self._t, self._wake_time)
+                sim.schedule_at(self._t, self._wake_time)
                 return
 
             if kind == EV_REGISTER:
                 if self._register is not None:
                     self._register(block, dirty)
-                self.stats.registrations += 1
+                stats.registrations += 1
                 self._pending = None
                 continue
 
@@ -224,14 +233,14 @@ class CoreModel:
             self._wait = _W_MLP
             self.stats.mlp_stalls += 1
             return _READ_RETRY
-        if not self._controller.can_accept(RequestType.READ, block):
+        if not self._controller.can_accept(_READ, block):
             self._wait = _W_SPACE
             self.stats.read_queue_stalls += 1
-            self._controller.notify_space(RequestType.READ, block, self._wake_space)
+            self._controller.notify_space(_READ, block, self._wake_space)
             return _READ_RETRY
 
         blocking = self._rng.random() < self.params.blocking_load_fraction
-        request = MemRequest(rtype=RequestType.READ, block=block, core=self.core_id)
+        request = MemRequest(rtype=_READ, block=block, core=self.core_id)
         request.on_complete = lambda finish: self._on_read_complete(
             request.req_id, finish
         )
@@ -266,14 +275,14 @@ class CoreModel:
     # Writes
     # ------------------------------------------------------------------
     def _try_write(self, block: int) -> bool:
-        if not self._controller.can_accept(RequestType.WRITE, block):
+        if not self._controller.can_accept(_WRITE, block):
             self._wait = _W_SPACE
             self.stats.write_queue_stalls += 1
-            self._controller.notify_space(RequestType.WRITE, block, self._wake_space)
+            self._controller.notify_space(_WRITE, block, self._wake_space)
             return False
         n_sets = self._choose_mode(block)
         request = MemRequest(
-            rtype=RequestType.WRITE, block=block, n_sets=n_sets, core=self.core_id
+            rtype=_WRITE, block=block, n_sets=n_sets, core=self.core_id
         )
         self._controller.enqueue(request)
         self.stats.writes_issued += 1

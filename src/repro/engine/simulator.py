@@ -1,15 +1,15 @@
 """Heap-based discrete-event simulator.
 
-The engine is intentionally minimal: a priority queue of ``(time, seq)``
-keyed events, a current-time cursor, and helpers for periodic events. All
+The engine is intentionally minimal: a binary heap of ``(time, seq,
+event)`` entries, a current-time cursor, and helpers for periodic events. All
 higher-level behaviour (memory scheduling, refresh interrupts, decay ticks)
 is built from these primitives.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
@@ -17,23 +17,24 @@ from repro.errors import SimulationError
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so simultaneous events fire in the
-    order they were scheduled — this keeps runs deterministic, which the
-    test suite relies on.
+    The engine's heap holds ``(time, seq, event)`` entries, so events
+    never compare with each other: simultaneous events fire in the order
+    they were scheduled, which keeps runs deterministic (the test suite
+    relies on it).
     """
 
     time: float
     seq: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: EventCallback
+    cancelled: bool = False
     #: ``module:qualname`` of the scheduling owner; populated only while
     #: cost accounting is enabled (never consulted by the run loop's
     #: ordering, so accounting cannot perturb the simulation).
-    owner: Optional[str] = field(default=None, compare=False)
+    owner: Optional[str] = None
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -112,19 +113,16 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
-        self._now = 0.0
+        self._queue: list[tuple[float, int, Event]] = []
+        #: Current simulation time in nanoseconds. A plain attribute for
+        #: the hot path; only :meth:`run` advances it.
+        self.now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._events_cancelled = 0
         self._running = False
         self._stopped = False
         self._accounting: Optional[EventCostAccounting] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -144,11 +142,11 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def register_metrics(self, registry, prefix: str = "engine") -> None:
         """Publish the engine's counters into a telemetry registry."""
-        registry.gauge(f"{prefix}.now_ns", lambda: self._now)
+        registry.gauge(f"{prefix}.now_ns", lambda: self.now)
         registry.gauge(f"{prefix}.events_processed", lambda: self._events_processed)
         registry.gauge(f"{prefix}.events_scheduled", lambda: self._seq)
         registry.gauge(f"{prefix}.events_cancelled", lambda: self._events_cancelled)
@@ -185,15 +183,19 @@ class Simulator:
         when accounting is enabled — the default path stays allocation-
         identical to the unprofiled engine).
         """
-        if time < self._now:
+        # One comparison rejects both the past and NaN (which compares
+        # false with everything and would otherwise fire first).
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now {self._now}"
+                f"cannot schedule event at {time}: before now {self.now} "
+                "or not a number"
             )
-        event = Event(time=time, seq=self._seq, callback=callback)
+        seq = self._seq
+        event = Event(time, seq, callback)
         if self._accounting is not None:
             event.owner = owner if owner is not None else owner_label(callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_after(
@@ -204,9 +206,9 @@ class Simulator:
         owner: Optional[str] = None,
     ) -> Event:
         """Schedule *callback* after *delay* ns from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, owner=owner)
+        if not delay >= 0:
+            raise SimulationError(f"delay must be a non-negative number: {delay}")
+        return self.schedule_at(self.now + delay, callback, owner=owner)
 
     def schedule_periodic(
         self,
@@ -222,9 +224,9 @@ class Simulator:
         chain only before it first fires. For a stoppable periodic task,
         have the callback raise StopIteration — the chain then ends.
         """
-        if period <= 0:
+        if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
-        first = self._now + period if start is None else start
+        first = self.now + period if start is None else start
         # Attribute the whole periodic chain to the wrapped callback,
         # not this engine-local closure.
         chain_owner = (
@@ -258,19 +260,20 @@ class Simulator:
         self._stopped = False
         processed_this_run = 0
         accounting = self._accounting
+        queue = self._queue
         try:
-            while self._queue and not self._stopped:
-                event = self._queue[0]
+            while queue and not self._stopped:
+                time, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     self._events_cancelled += 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and processed_this_run >= max_events:
                     break
-                heapq.heappop(self._queue)
-                self._now = event.time
+                heappop(queue)
+                self.now = time
                 if accounting is None:
                     event.callback()
                 else:
@@ -280,5 +283,5 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and not self._stopped:
-            self._now = max(self._now, until)
-        return self._now
+            self.now = max(self.now, until)
+        return self.now

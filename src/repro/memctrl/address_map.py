@@ -21,7 +21,7 @@ from repro.pcm.device import BLOCK_BYTES
 from repro.utils.mathx import log2_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedAddress:
     """A physical block address decoded into device coordinates."""
 

@@ -98,6 +98,11 @@ class ControllerStats:
 
 CompletionListener = Callable[[MemRequest], None]
 
+# Hot-path aliases: looking a member up on its Enum class is slow.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+_RRM_REFRESH = RequestType.RRM_REFRESH
+
 
 class MemoryController:
     """Schedules memory requests onto the PCM device banks."""
@@ -162,6 +167,12 @@ class MemoryController:
         #: Per flat bank index: the in-flight write request and its
         #: completion event, so pausing reads can push the completion back.
         self._inflight_write: List[Optional[tuple]] = [None] * device.n_banks
+        #: Per SET count: (latency, pause boundaries) of that write mode,
+        #: filled on first use, so issuing a write neither looks the mode
+        #: up nor rebuilds its boundary tuple.
+        self._write_timing: Dict[int, Tuple[float, Tuple[float, ...]]] = {}
+        self._fast_n_sets = device.modes.fast.n_sets
+        self._slow_n_sets = device.modes.slow.n_sets
         #: Per-channel queue tuples in priority order (hot-path cache).
         self._priority_queues = [
             tuple(qs.in_priority_order()) for qs in self._queues
@@ -248,41 +259,57 @@ class MemoryController:
     def _kick(self, channel: int) -> None:
         """Issue every request that can be serviced on *channel* right now.
 
-        Hot path: the per-queue scan is inlined (no per-entry callback) and
-        queues other than the read queue are skipped outright when every
-        bank on the channel is busy — only reads can still start, by
-        pausing an in-flight write.
+        Hot path: the per-queue scan is inlined (no per-entry callback),
+        and queues other than the read queue are skipped outright when
+        every bank on the channel is busy — only reads can still start,
+        by pausing an in-flight write. Writes issue when draining or when
+        no higher-priority work waits. The drain state is updated once
+        per call but read on every pass, because the space waiters a
+        pass wakes re-enter this method and may move it.
         """
         queues = self._queues[channel]
         read_queue = queues.read_queue
+        write_queue = queues.write_queue
+        reads = read_queue._entries
+        refreshes = queues.refresh_queue._entries
+        draining = self._draining_writes
+        occupancy = len(write_queue._entries)
+        if occupancy >= self._write_drain_high:
+            draining[channel] = True
+        elif occupancy <= self._write_drain_low:
+            draining[channel] = False
+        channel_inflight = self._channel_inflight
+        n_banks = self._banks_per_channel
+        if channel_inflight[channel] == n_banks and not reads:
+            return
+
         now = self.sim.now
         inflight = self._bank_inflight
         banks = self._banks_flat
         window = self.SCHED_WINDOW
-        read_type = RequestType.READ
-
-        self._update_drain_state(channel)
-
+        attribution = self._attribution
+        space_waiters = self._space_waiters
+        priority_queues = self._priority_queues[channel]
         while True:
-            free_banks = self._banks_per_channel - self._channel_inflight[channel]
-            issued = False
-            for queue in self._priority_queues[channel]:
-                if free_banks == 0 and queue is not read_queue:
+            all_busy = channel_inflight[channel] == n_banks
+            for queue in priority_queues:
+                if all_busy and queue is not read_queue:
                     continue
                 entries = queue._entries
                 if not entries:
                     continue
-                if queue is queues.write_queue and not self._write_issue_allowed(channel):
+                if (queue is write_queue and not draining[channel]
+                        and (reads or refreshes)):
                     continue
                 pick = -1
-                limit = min(len(entries), window)
-                for i in range(limit):
-                    req = entries[i]
+                for i, req in enumerate(entries):
+                    if i == window:
+                        break
                     n = inflight[req.bank_index]
                     if n == 0:
                         pick = i
                         break
-                    if n == 1 and req.rtype is read_type:
+                    if n == 1 and req.rtype is _READ:
                         bank = banks[req.bank_index]
                         # A single in-flight pausable write lets a read cut in.
                         if bank.read_start_time(now) < bank.available_at(now):
@@ -291,49 +318,23 @@ class MemoryController:
                 if pick >= 0:
                     request = entries[pick]
                     del entries[pick]
-                    if self._attribution is not None:
+                    if attribution is not None:
                         queue.note_issue(request, pick)
                     self._issue(channel, request)
-                    self._wake_space_waiters(channel, queue.name)
-                    issued = True
+                    if space_waiters:
+                        self._wake_space_waiters(channel, queue.name)
                     break  # restart from the highest-priority queue
-            if not issued:
+            else:
                 return
 
-    def _write_issue_allowed(self, channel: int) -> bool:
-        """Writes issue when draining or when no higher-priority work waits."""
-        queues = self._queues[channel]
-        if self._draining_writes[channel]:
-            return True
-        return queues.read_queue.empty and queues.refresh_queue.empty
-
-    def _update_drain_state(self, channel: int) -> None:
-        occupancy = len(self._queues[channel].write_queue)
-        if occupancy >= self._write_drain_high:
-            self._draining_writes[channel] = True
-        elif occupancy <= self._write_drain_low:
-            self._draining_writes[channel] = False
-
-    def _bank_ready(self, request: MemRequest, now: float) -> bool:
-        """Whether *request*'s bank can take it (free, or pausable for
-        reads). Kept as the documented single-request predicate; the kick
-        loop inlines the same logic."""
-        inflight = self._bank_inflight[request.bank_index]
-        if inflight == 0:
-            return True
-        if request.rtype is RequestType.READ and inflight == 1:
-            bank = self._banks_flat[request.bank_index]
-            return bank.read_start_time(now) < bank.available_at(now)
-        return False
-
     def _issue(self, channel: int, request: MemRequest) -> None:
-        decoded = request.decoded
-        bank = self.device.bank(decoded.channel, decoded.bank)
+        bank_index = request.bank_index
+        bank = self._banks_flat[bank_index]
         now = self.sim.now
 
-        is_write = request.rtype is not RequestType.READ
+        is_write = request.rtype is not _READ
         if not is_write:
-            start, finish, hit = bank.schedule_read(now, decoded.row)
+            start, finish, hit = bank.schedule_read(now, request.decoded.row)
             if hit:
                 self.stats.row_hits += 1
             else:
@@ -341,9 +342,15 @@ class MemoryController:
         else:
             if request.n_sets is None:
                 raise SimulationError(f"write request without a mode: {request}")
-            mode = self.device.modes.mode(request.n_sets)
+            timing = self._write_timing.get(request.n_sets)
+            if timing is None:
+                mode = self.device.modes.mode(request.n_sets)
+                timing = self._write_timing[request.n_sets] = (
+                    mode.latency_ns, mode.set_boundaries_ns
+                )
+            latency_ns, boundaries_ns = timing
             start, finish = bank.schedule_write(
-                now, decoded.row, mode.latency_ns, mode.set_boundaries_ns
+                now, request.decoded.row, latency_ns, boundaries_ns
             )
 
         request.start_time_ns = start
@@ -353,11 +360,11 @@ class MemoryController:
                 self._attribution.on_write_issue(request)
             else:
                 self._attribution.on_read_issue(request, hit)
-        self._bank_inflight[request.bank_index] += 1
+        self._bank_inflight[bank_index] += 1
         self._channel_inflight[channel] += 1
         event = self.sim.schedule_at(finish, lambda: self._complete(channel, request))
         if is_write:
-            self._inflight_write[request.bank_index] = (request, event)
+            self._inflight_write[bank_index] = (request, event)
         else:
             self._reschedule_paused_write(channel, request, bank)
 
@@ -381,37 +388,45 @@ class MemoryController:
             self._attribution.on_write_paused(write_request, read_request, new_end)
 
     def _complete(self, channel: int, request: MemRequest) -> None:
-        self._bank_inflight[request.bank_index] -= 1
+        bank_index = request.bank_index
+        bank_inflight = self._bank_inflight
+        bank_inflight[bank_index] -= 1
         self._channel_inflight[channel] -= 1
-        if self._bank_inflight[request.bank_index] < 0:
+        if bank_inflight[bank_index] < 0:
             raise SimulationError("bank in-flight count went negative")
-        entry = self._inflight_write[request.bank_index]
+        entry = self._inflight_write[bank_index]
         if entry is not None and entry[0] is request:
-            self._inflight_write[request.bank_index] = None
+            self._inflight_write[bank_index] = None
 
         finish = request.finish_time_ns
         assert finish is not None
         latency = finish - request.issue_time_ns
 
-        if request.rtype is RequestType.READ:
-            self.stats.reads_completed += 1
-            self.stats.read_latency_sum_ns += latency
+        stats = self.stats
+        rtype = request.rtype
+        if rtype is _READ:
+            stats.reads_completed += 1
+            stats.read_latency_sum_ns += latency
             if self._read_latency_hist is not None:
                 self._read_latency_hist.record(latency)
-        elif request.rtype is RequestType.WRITE:
-            self.stats.writes_completed += 1
-            self.stats.write_latency_sum_ns += latency
+        elif rtype is _WRITE:
+            stats.writes_completed += 1
+            stats.write_latency_sum_ns += latency
             if self._write_latency_hist is not None:
                 self._write_latency_hist.record(latency)
-            self._count_write_mode(request)
-        elif request.rtype is RequestType.RRM_REFRESH:
-            self.stats.rrm_refreshes_completed += 1
+            if request.n_sets == self._fast_n_sets:
+                stats.fast_writes += 1
+            elif request.n_sets == self._slow_n_sets:
+                stats.slow_writes += 1
+        elif rtype is _RRM_REFRESH:
+            stats.rrm_refreshes_completed += 1
         else:
-            self.stats.rrm_slow_refreshes_completed += 1
+            stats.rrm_slow_refreshes_completed += 1
 
-        violated = request.deadline_ns is not None and finish > request.deadline_ns
+        deadline = request.deadline_ns
+        violated = deadline is not None and finish > deadline
         if violated:
-            self.stats.retention_violations += 1
+            stats.retention_violations += 1
 
         anatomy_args = None
         if self._attribution is not None:
@@ -454,12 +469,6 @@ class MemoryController:
             listener(request)
 
         self._kick(channel)
-
-    def _count_write_mode(self, request: MemRequest) -> None:
-        if request.n_sets == self.device.modes.fast.n_sets:
-            self.stats.fast_writes += 1
-        elif request.n_sets == self.device.modes.slow.n_sets:
-            self.stats.slow_writes += 1
 
     def _wake_space_waiters(self, channel: int, queue_name: str) -> None:
         waiters = self._space_waiters.pop((channel, queue_name), None)

@@ -4,7 +4,9 @@ Each channel owns a :class:`QueueSet`: an RRM refresh queue (64 entries,
 highest priority), a read queue (32 entries, middle priority) and a write
 queue (64 entries, lowest priority). Queues are FIFO within a class; the
 scheduler may still pick a younger request whose bank is free (FR-FCFS
-style) via :meth:`BoundedQueue.pop_first_ready`.
+style). ``MemoryController._kick`` scans ``BoundedQueue._entries`` inline
+for that pick; :meth:`BoundedQueue.pop_first_ready` states the same rule
+as a standalone method.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from typing import Callable, Deque, Iterable, List, Optional
 
 from repro.errors import QueueFullError
 from repro.memctrl.request import MemRequest, RequestType
+
+# Hot-path aliases: looking a member up on its Enum class is slow.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
 
 
 @dataclass
@@ -50,12 +56,14 @@ class BoundedQueue:
         Callers that model backpressure must check :attr:`full` first —
         an unchecked overflow is a protocol bug, not a hardware behaviour.
         """
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             self.rejected += 1
             raise QueueFullError(f"{self.name} full at {self.capacity} entries")
-        self._entries.append(request)
+        entries.append(request)
         self.total_enqueued += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
 
     def pop(self) -> MemRequest:
         """Dequeue the oldest request."""
@@ -113,12 +121,13 @@ class QueueSet:
         self.write_queue = BoundedQueue(self.write_capacity, name="write-q")
 
     def queue_for(self, rtype: RequestType) -> BoundedQueue:
-        """The queue a request class maps to."""
-        if rtype in (RequestType.RRM_REFRESH, RequestType.RRM_SLOW_REFRESH):
-            return self.refresh_queue
-        if rtype is RequestType.READ:
+        """The queue a request class maps to (both RRM refresh classes
+        share the refresh queue)."""
+        if rtype is _READ:
             return self.read_queue
-        return self.write_queue
+        if rtype is _WRITE:
+            return self.write_queue
+        return self.refresh_queue
 
     def in_priority_order(self) -> List[BoundedQueue]:
         """Queues from highest to lowest scheduling priority."""

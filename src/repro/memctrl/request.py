@@ -23,7 +23,7 @@ class RequestType(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
+@dataclass(slots=True)
 class MemRequest:
     """One block-granularity memory request.
 

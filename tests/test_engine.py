@@ -43,6 +43,26 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self, sim):
+        # NaN compares false with every time: on the heap it fired first
+        # and set the clock to NaN.
+        log = []
+        sim.schedule_at(1.0, lambda: log.append(sim.now))
+        sim.schedule_at(5.0, lambda: log.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: log.append(sim.now))
+        sim.run()
+        assert log == [1.0, 5.0]
+        assert sim.events_scheduled == 2
+
+    def test_nan_delay_rejected(self, sim):
+        sim.schedule_at(3.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_after(float("nan"), lambda: None)
+        assert sim.events_scheduled == 1
+        assert sim.now == 3.0
+
     def test_events_processed_counter(self, sim):
         for t in (1.0, 2.0, 3.0):
             sim.schedule_at(t, lambda: None)
@@ -137,3 +157,7 @@ class TestPeriodic:
     def test_zero_period_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule_periodic(0.0, lambda: None)
+
+    def test_nan_period_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_periodic(float("nan"), lambda: None, start=1.0)
