@@ -25,7 +25,7 @@ def run_with_checker(config, workload):
     checker = RetentionIntegrityChecker(
         system.modes, global_refresh_interval_s=interval
     )
-    system.controller.add_completion_listener(checker.on_completion)
+    system.controller.add_observer(on_complete=checker.on_completion)
     result = system.run()
     checker.finalize(system.sim.now)
     return result, checker

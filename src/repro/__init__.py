@@ -30,7 +30,7 @@ from repro.sim import (
 )
 from repro.telemetry import (
     MetricRegistry,
-    Profiler,
+    MetricSampler,
     Telemetry,
     TelemetryConfig,
     Tracer,
@@ -51,7 +51,7 @@ __all__ = [
     "FaultPlan",
     "MemoryConfig",
     "MetricRegistry",
-    "Profiler",
+    "MetricSampler",
     "ResultJournal",
     "RetryPolicy",
     "Scheme",

@@ -1,9 +1,9 @@
 """In-simulation latency attribution: observe, carve, blame, conserve.
 
-The :class:`AttributionCollector` hangs off the memory controller's
-issue/complete path and maintains, per bank, a timeline of *occupancy
-segments* — ``[start, end, class]`` intervals describing what the bank
-was doing. When a request issues, its queue-wait window
+The :class:`AttributionCollector` subscribes to the memory controller's
+hook points (``MemoryController.add_observer``) and maintains, per bank,
+a timeline of *occupancy segments* — ``[start, end, class]`` intervals
+describing what the bank was doing. When a request issues, its queue-wait window
 ``[issue, start]`` is carved against that timeline: overlap with a
 segment is blamed on the segment's class, the remainder on the
 scheduler. Write pausing splices the timeline (the preempted write's
@@ -191,12 +191,11 @@ class AttributionCollector:
     # ------------------------------------------------------------------
     # Controller hook (completion-side)
     # ------------------------------------------------------------------
-    def on_complete(self, request: MemRequest) -> Optional[dict]:
-        """Finalise the request's anatomy; returns compact span args for
-        the tracer (or None when the anatomy is unexpectedly absent)."""
+    def on_complete(self, request: MemRequest) -> None:
+        """Finalise the request's anatomy (conservation is checked here)."""
         anatomy: RequestAnatomy = request.anatomy
         if anatomy is None:
-            return None
+            return
         if request.is_write:
             self._write_seg[request.bank_index] = None
         finish = request.finish_time_ns
@@ -212,7 +211,6 @@ class AttributionCollector:
         )
         self._check_conservation(anatomy)
         self._aggregate(anatomy)
-        return anatomy.trace_args()
 
     # ------------------------------------------------------------------
     # Internals

@@ -19,11 +19,14 @@ first; when a queue is full they register a callback with
 :meth:`MemoryController.notify_space` and are woken when space frees. This
 is the mechanism through which long write latencies reach the CPU: the
 write queue backs up, the LLC cannot evict, and the core stalls.
+
+Instruments (attribution, trace spans, histograms, listeners) subscribe
+through :meth:`MemoryController.add_observer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine import Simulator
@@ -32,7 +35,6 @@ from repro.memctrl.address_map import AddressMap
 from repro.memctrl.queues import QueueSet
 from repro.memctrl.request import MemRequest, RequestType
 from repro.pcm.device import PCMDevice
-from repro.telemetry.trace import NULL_TRACER
 
 
 @dataclass
@@ -70,22 +72,10 @@ class ControllerStats:
 
     def register_metrics(self, registry, prefix: str = "memctrl") -> None:
         """Publish every counter (plus derived averages) into *registry*."""
-        for field_name in (
-            "reads_completed",
-            "writes_completed",
-            "rrm_refreshes_completed",
-            "rrm_slow_refreshes_completed",
-            "fast_writes",
-            "slow_writes",
-            "read_latency_sum_ns",
-            "write_latency_sum_ns",
-            "retention_violations",
-            "row_hits",
-            "row_misses",
-        ):
+        for field in fields(self):
             registry.gauge(
-                f"{prefix}.{field_name}",
-                lambda f=field_name: getattr(self, f),
+                f"{prefix}.{field.name}",
+                lambda f=field.name: getattr(self, f),
             )
         registry.derived(
             f"{prefix}.avg_read_latency_ns", lambda: self.avg_read_latency_ns
@@ -95,8 +85,6 @@ class ControllerStats:
         )
         registry.derived(f"{prefix}.row_hit_rate", lambda: self.row_hit_rate)
 
-
-CompletionListener = Callable[[MemRequest], None]
 
 # Hot-path aliases: looking a member up on its Enum class is slow.
 _READ = RequestType.READ
@@ -121,18 +109,9 @@ class MemoryController:
         write_queue_capacity: int = 64,
         write_drain_high: Optional[int] = None,
         write_drain_low: Optional[int] = None,
-        tracer=NULL_TRACER,
-        attribution=None,
     ) -> None:
         self.sim = sim
         self.device = device
-        #: Telemetry recorder; the shared no-op unless tracing is on.
-        self.tracer = tracer
-        #: Optional latency-attribution collector
-        #: (:class:`repro.attribution.AttributionCollector`); every hook
-        #: below is guarded so the scheduler hot path is unchanged when
-        #: attribution is off.
-        self._attribution = attribution
         self.address_map = address_map or AddressMap(
             n_channels=device.n_channels,
             banks_per_channel=device.banks_per_channel,
@@ -177,44 +156,54 @@ class MemoryController:
         self._priority_queues = [
             tuple(qs.in_priority_order()) for qs in self._queues
         ]
-        if attribution is not None:
-            for queue_set in self._queues:
-                for queue in queue_set.in_priority_order():
-                    queue.issue_observer = attribution.on_dequeue
         #: Space waiters per (channel, request class name).
         self._space_waiters: Dict[Tuple[int, str], List[Callable[[], None]]] = {}
-        self._completion_listeners: List[CompletionListener] = []
-        #: Optional latency histograms (telemetry detail metrics).
-        self._read_latency_hist = None
-        self._write_latency_hist = None
+        #: Observer lists, one per hook point (see :meth:`add_observer`).
+        self._enqueue_hooks: List[Callable] = []
+        self._dequeue_hooks: List[Callable] = []
+        self._read_issue_hooks: List[Callable] = []
+        self._write_issue_hooks: List[Callable] = []
+        self._pause_hooks: List[Callable] = []
+        self._complete_hooks: List[Callable] = []
 
     # ------------------------------------------------------------------
     # Producer-facing API
     # ------------------------------------------------------------------
-    def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Register a callback fired on every request completion."""
-        self._completion_listeners.append(listener)
-
-    def register_metrics(self, registry, *, detailed: bool = False) -> None:
-        """Publish controller stats and queue-depth gauges into *registry*.
-
-        With *detailed*, also installs service-latency histograms — those
-        record on every completion, so they are opt-in (telemetry on).
+    def add_observer(
+        self,
+        *,
+        on_enqueue: Optional[Callable] = None,
+        on_dequeue: Optional[Callable] = None,
+        on_read_issue: Optional[Callable] = None,
+        on_write_issue: Optional[Callable] = None,
+        on_write_paused: Optional[Callable] = None,
+        on_complete: Optional[Callable] = None,
+    ) -> None:
+        """Subscribe read-only callables to the scheduler's hook points:
+        ``on_enqueue(request)`` before the queue push;
+        ``on_dequeue(queue, request, n_bypassed)`` when ``_kick`` picks it;
+        ``on_read_issue(request, row_hit)`` / ``on_write_issue(request)``
+        once start/finish are set; ``on_write_paused(write, read,
+        new_end_ns)``; ``on_complete(request)`` after the stats, before
+        ``request.on_complete``. Hooks fire in registration order; a
+        point with no observer costs one truthiness check.
         """
+        for hooks, fn in (
+            (self._enqueue_hooks, on_enqueue),
+            (self._dequeue_hooks, on_dequeue),
+            (self._read_issue_hooks, on_read_issue),
+            (self._write_issue_hooks, on_write_issue),
+            (self._pause_hooks, on_write_paused),
+            (self._complete_hooks, on_complete),
+        ):
+            if fn is not None:
+                hooks.append(fn)
+
+    def register_metrics(self, registry) -> None:
+        """Publish controller stats and queue-depth gauges into *registry*."""
         self.stats.register_metrics(registry)
         registry.gauge("memctrl.pending_requests", self.pending_requests)
         registry.gauge("memctrl.inflight_requests", self.inflight_requests)
-        if detailed:
-            bounds = [50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000]
-            self._read_latency_hist = registry.histogram(
-                "memctrl.read_latency_hist_ns", bounds
-            )
-            self._write_latency_hist = registry.histogram(
-                "memctrl.write_latency_hist_ns", bounds
-            )
-
-    def channel_of(self, block: int) -> int:
-        return self.address_map.channel_of_block(block)
 
     def can_accept(self, rtype: RequestType, block: int) -> bool:
         """Whether the queue a (*rtype*, *block*) request maps to has room."""
@@ -226,8 +215,9 @@ class MemoryController:
         request.decoded = decoded = self.address_map.decode_block(request.block)
         request.bank_index = decoded.channel * self._banks_per_channel + decoded.bank
         request.issue_time_ns = self.sim.now
-        if self._attribution is not None:
-            self._attribution.on_enqueue(request)
+        if self._enqueue_hooks:
+            for fn in self._enqueue_hooks:
+                fn(request)
         self._queues[decoded.channel].queue_for(request.rtype).push(request)
         self._kick(decoded.channel)
 
@@ -237,7 +227,7 @@ class MemoryController:
         One-shot: the callback is dropped after firing and should re-check
         :meth:`can_accept` (another producer may have raced for the slot).
         """
-        channel = self.channel_of(block)
+        channel = self.address_map.channel_of_block(block)
         key = (channel, self._queues[channel].queue_for(rtype).name)
         self._space_waiters.setdefault(key, []).append(callback)
 
@@ -287,7 +277,7 @@ class MemoryController:
         inflight = self._bank_inflight
         banks = self._banks_flat
         window = self.SCHED_WINDOW
-        attribution = self._attribution
+        dequeue_hooks = self._dequeue_hooks
         space_waiters = self._space_waiters
         priority_queues = self._priority_queues[channel]
         while True:
@@ -318,8 +308,9 @@ class MemoryController:
                 if pick >= 0:
                     request = entries[pick]
                     del entries[pick]
-                    if attribution is not None:
-                        queue.note_issue(request, pick)
+                    if dequeue_hooks:
+                        for fn in dequeue_hooks:
+                            fn(queue, request, pick)
                     self._issue(channel, request)
                     if space_waiters:
                         self._wake_space_waiters(channel, queue.name)
@@ -355,11 +346,13 @@ class MemoryController:
 
         request.start_time_ns = start
         request.finish_time_ns = finish
-        if self._attribution is not None:
-            if is_write:
-                self._attribution.on_write_issue(request)
-            else:
-                self._attribution.on_read_issue(request, hit)
+        if is_write:
+            if self._write_issue_hooks:
+                for fn in self._write_issue_hooks:
+                    fn(request)
+        elif self._read_issue_hooks:
+            for fn in self._read_issue_hooks:
+                fn(request, hit)
         self._bank_inflight[bank_index] += 1
         self._channel_inflight[channel] += 1
         event = self.sim.schedule_at(finish, lambda: self._complete(channel, request))
@@ -384,8 +377,9 @@ class MemoryController:
             new_end, lambda: self._complete(channel, write_request)
         )
         self._inflight_write[read_request.bank_index] = (write_request, new_event)
-        if self._attribution is not None:
-            self._attribution.on_write_paused(write_request, read_request, new_end)
+        if self._pause_hooks:
+            for fn in self._pause_hooks:
+                fn(write_request, read_request, new_end)
 
     def _complete(self, channel: int, request: MemRequest) -> None:
         bank_index = request.bank_index
@@ -407,13 +401,9 @@ class MemoryController:
         if rtype is _READ:
             stats.reads_completed += 1
             stats.read_latency_sum_ns += latency
-            if self._read_latency_hist is not None:
-                self._read_latency_hist.record(latency)
         elif rtype is _WRITE:
             stats.writes_completed += 1
             stats.write_latency_sum_ns += latency
-            if self._write_latency_hist is not None:
-                self._write_latency_hist.record(latency)
             if request.n_sets == self._fast_n_sets:
                 stats.fast_writes += 1
             elif request.n_sets == self._slow_n_sets:
@@ -424,49 +414,16 @@ class MemoryController:
             stats.rrm_slow_refreshes_completed += 1
 
         deadline = request.deadline_ns
-        violated = deadline is not None and finish > deadline
-        if violated:
+        if deadline is not None and finish > deadline:
             stats.retention_violations += 1
 
-        anatomy_args = None
-        if self._attribution is not None:
-            # Finalise the latency anatomy (conservation is checked here);
-            # the compact component map rides on the span args below.
-            anatomy_args = self._attribution.on_complete(request)
-
-        if self.tracer.enabled:
-            # One span per serviced request, laned by flat bank index so
-            # Perfetto shows per-bank occupancy; the queue wait rides in args.
-            start = request.start_time_ns
-            assert start is not None
-            self.tracer.complete(
-                request.rtype.value,
-                "memctrl",
-                start,
-                finish - start,
-                args={
-                    "block": request.block,
-                    "wait_ns": start - request.issue_time_ns,
-                    **({"n_sets": request.n_sets}
-                       if request.n_sets is not None else {}),
-                    **({"anatomy": anatomy_args}
-                       if anatomy_args is not None else {}),
-                },
-                tid=request.bank_index,
-            )
-            if violated:
-                self.tracer.instant(
-                    "retention_violation",
-                    "memctrl",
-                    args={"block": request.block,
-                          "late_ns": finish - request.deadline_ns},
-                    tid=request.bank_index,
-                )
-
+        # Observers run before the requester wakes: a woken core emits
+        # monitor trace events, which must follow this request's span.
+        if self._complete_hooks:
+            for fn in self._complete_hooks:
+                fn(request)
         if request.on_complete is not None:
             request.on_complete(finish)
-        for listener in self._completion_listeners:
-            listener(request)
 
         self._kick(channel)
 

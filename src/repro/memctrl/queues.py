@@ -4,16 +4,16 @@ Each channel owns a :class:`QueueSet`: an RRM refresh queue (64 entries,
 highest priority), a read queue (32 entries, middle priority) and a write
 queue (64 entries, lowest priority). Queues are FIFO within a class; the
 scheduler may still pick a younger request whose bank is free (FR-FCFS
-style). ``MemoryController._kick`` scans ``BoundedQueue._entries`` inline
-for that pick; :meth:`BoundedQueue.pop_first_ready` states the same rule
-as a standalone method.
+style). The pick rule lives in ``MemoryController._kick``, which scans
+``BoundedQueue._entries`` inline: it also lets a read cut into a bank's
+in-flight pausable write, which a per-request readiness test cannot see.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Deque, Iterable, List, Optional
 
 from repro.errors import QueueFullError
 from repro.memctrl.request import MemRequest, RequestType
@@ -33,11 +33,6 @@ class BoundedQueue:
     peak_occupancy: int = 0
     total_enqueued: int = 0
     rejected: int = 0
-    #: Optional ``(queue, request, n_bypassed)`` callback fired when the
-    #: scheduler removes an entry out of FIFO order; installed by the
-    #: controller only when latency attribution is enabled, so the hot
-    #: path pays nothing by default.
-    issue_observer: Optional[Callable[["BoundedQueue", MemRequest, int], None]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,10 +40,6 @@ class BoundedQueue:
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
 
     def push(self, request: MemRequest) -> None:
         """Enqueue; raises :class:`QueueFullError` if at capacity.
@@ -71,30 +62,6 @@ class BoundedQueue:
 
     def peek(self) -> Optional[MemRequest]:
         return self._entries[0] if self._entries else None
-
-    def pop_first_ready(
-        self, is_ready: Callable[[MemRequest], bool], window: int = 8
-    ) -> Optional[MemRequest]:
-        """Remove and return the oldest request satisfying *is_ready*,
-        searching at most *window* entries from the head (FR-FCFS with a
-        bounded associative search, like real schedulers)."""
-        for index, request in enumerate(self._entries):
-            if index >= window:
-                break
-            if is_ready(request):
-                del self._entries[index]
-                return request
-        return None
-
-    def note_issue(self, request: MemRequest, n_bypassed: int) -> None:
-        """Report an out-of-queue pick to the issue observer, if any.
-
-        *n_bypassed* is the number of older entries the FR-FCFS scan
-        skipped — the reordering depth latency attribution records on
-        the request's anatomy.
-        """
-        if self.issue_observer is not None:
-            self.issue_observer(self, request, n_bypassed)
 
     def register_metrics(self, registry, prefix: str) -> None:
         """Publish queue pressure counters into *registry*."""

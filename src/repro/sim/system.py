@@ -29,7 +29,8 @@ from repro.profiling import SamplingProfiler, take_census
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import EnergyReport, SimResult, WearReport
 from repro.sim.schemes import Scheme
-from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry import MetricSampler, Telemetry, TelemetryConfig
+from repro.telemetry.observers import latency_histograms, request_spans
 from repro.utils.units import s_to_ns
 from repro.workloads.mixes import workload_profiles
 from repro.workloads.synthetic import BLOCKS_PER_REGION, RegionTrafficGenerator
@@ -115,9 +116,21 @@ class System:
             refresh_queue_capacity=config.memory.refresh_queue_capacity,
             read_queue_capacity=config.memory.read_queue_capacity,
             write_queue_capacity=config.memory.write_queue_capacity,
-            tracer=self.telemetry.tracer,
-            attribution=self.attribution,
         )
+        # The collector finalises an anatomy before the span reads it;
+        # histograms and _on_completion subscribe after, at the end.
+        if self.attribution is not None:
+            collector = self.attribution
+            self.controller.add_observer(
+                on_enqueue=collector.on_enqueue,
+                on_dequeue=collector.on_dequeue,
+                on_read_issue=collector.on_read_issue,
+                on_write_issue=collector.on_write_issue,
+                on_write_paused=collector.on_write_paused,
+                on_complete=collector.on_complete,
+            )
+        if self.telemetry.enabled:
+            self.controller.add_observer(on_complete=request_spans(self.telemetry.tracer))
         self.wear = WearTracker(track_per_block=track_wear_per_block)
         self.energy = EnergyModel(modes=self.modes)
         self.endurance = EnduranceModel(
@@ -125,7 +138,6 @@ class System:
             wear_leveling_efficiency=config.memory.wear_leveling_efficiency,
         )
         self._write_trace_sink = write_trace_sink
-        self.controller.add_completion_listener(self._on_completion)
 
         # --- Scheme -------------------------------------------------------
         self.rrm: Optional[RegionRetentionMonitor] = None
@@ -161,18 +173,23 @@ class System:
         )
         self._ran = False
         self._register_metrics()
+        self.controller.add_observer(on_complete=self._on_completion)
 
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
         """Wire every subsystem into the run's metric registry.
 
-        All registrations are pull gauges over existing stats objects, so
-        this is one-time wiring with zero hot-path cost; ``_finalize``
-        harvests results through ``registry.snapshot()``.
+        Registrations are pull gauges over existing stats objects, so
+        this is one-time wiring with zero hot-path cost; the exception is
+        the opt-in latency histograms, recorded by a controller
+        completion observer. ``_finalize`` harvests results through
+        ``registry.snapshot()``.
         """
         registry = self.telemetry.registry
         self.sim.register_metrics(registry)
-        self.controller.register_metrics(registry, detailed=self.telemetry.detailed)
+        self.controller.register_metrics(registry)
+        if self.telemetry.detailed:
+            self.controller.add_observer(on_complete=latency_histograms(registry))
         self.multicore.register_metrics(registry)
         self.wear.register_metrics(registry)
         self.energy.register_metrics(registry)
@@ -251,8 +268,9 @@ class System:
                 telemetry.tracer.set_thread_name(bank, f"bank{bank}")
         tcfg = telemetry.config
         if tcfg is not None and tcfg.metrics_interval_s is not None:
-            telemetry.make_profiler(
-                self.sim, s_to_ns(tcfg.metrics_interval_s)
+            MetricSampler(
+                self.sim, telemetry.registry, telemetry.tracer,
+                interval_ns=s_to_ns(tcfg.metrics_interval_s),
             ).start()
 
         if self.rrm is not None:

@@ -50,7 +50,7 @@ class RetentionIntegrityChecker:
 
         checker = RetentionIntegrityChecker(system.modes,
                                             global_interval_s=...)
-        system.controller.add_completion_listener(checker.on_completion)
+        system.controller.add_observer(on_complete=checker.on_completion)
         ...run...
         checker.finalize(system.sim.now)
 
@@ -70,7 +70,7 @@ class RetentionIntegrityChecker:
 
     # ------------------------------------------------------------------
     def on_completion(self, request: MemRequest) -> None:
-        """Completion listener for the memory controller."""
+        """Memory-controller ``on_complete`` observer."""
         finish = request.finish_time_ns
         assert finish is not None
         if request.rtype is RequestType.READ:

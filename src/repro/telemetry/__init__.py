@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, event tracing, profiling.
+"""Unified observability: metrics registry, event tracing, metric sampling.
 
 Three pillars (DESIGN.md, "Observability"):
 
@@ -7,8 +7,11 @@ Three pillars (DESIGN.md, "Observability"):
 - :class:`~repro.telemetry.trace.Tracer` — simulation-time spans,
   instants and counter tracks, exportable to Chrome-trace/Perfetto JSON
   and JSONL;
-- :class:`~repro.telemetry.profiler.Profiler` — periodic snapshot events
-  on the engine emitting per-subsystem time-series.
+- :class:`~repro.telemetry.metricsampler.MetricSampler` — periodic snapshot
+  events on the engine emitting per-subsystem time-series.
+
+:mod:`repro.telemetry.observers` holds the controller's span and
+histogram observers.
 
 Telemetry is opt-in: without a :class:`TelemetryConfig`, components see
 the no-op :data:`~repro.telemetry.trace.NULL_TRACER` and a run is
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ConfigError
-from repro.telemetry.profiler import Profiler
+from repro.telemetry.metricsampler import MetricSampler
 from repro.telemetry.registry import (
     Counter,
     Derived,
@@ -63,9 +66,9 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricRegistry",
+    "MetricSampler",
     "NULL_TRACER",
     "NullTracer",
-    "Profiler",
     "Snapshot",
     "Telemetry",
     "TelemetryConfig",
@@ -89,8 +92,8 @@ class TelemetryConfig:
         mode: Tracer memory bound — ``full`` | ``ring`` | ``sample``.
         ring_size: Event capacity in ``ring`` mode.
         sample_every: Keep every Nth event in ``sample`` mode.
-        metrics_interval_s: Period (virtual seconds) of the profiler's
-            snapshot events; ``None`` disables periodic sampling.
+        metrics_interval_s: Period (virtual seconds) of the metric
+            sampler's snapshot events; ``None`` disables periodic sampling.
         detailed_metrics: Also register latency histograms (small
             per-completion recording cost; off leaves only pull gauges).
         trace: Record trace events. Off keeps the no-op tracer, so a
@@ -133,7 +136,7 @@ class TelemetryConfig:
 
 
 class Telemetry:
-    """One run's observability bundle: registry + tracer (+ profiler).
+    """One run's observability bundle: registry + tracer.
 
     The registry always exists — metric registration is one-time wiring
     and snapshots are how results are harvested — but the tracer is the
@@ -156,7 +159,6 @@ class Telemetry:
                 ring_size=config.ring_size,
                 sample_every=config.sample_every,
             )
-        self.profiler: Optional[Profiler] = None
 
     @property
     def enabled(self) -> bool:
@@ -166,10 +168,3 @@ class Telemetry:
     def detailed(self) -> bool:
         """Whether components should register detail metrics (histograms)."""
         return self.config is not None and self.config.detailed_metrics
-
-    def make_profiler(self, sim, interval_ns: float) -> Profiler:
-        """Build (and remember) the profiler; the caller starts it."""
-        self.profiler = Profiler(
-            sim, self.registry, self.tracer, interval_ns=interval_ns
-        )
-        return self.profiler

@@ -47,26 +47,6 @@ class TestBoundedQueue:
         assert q.total_enqueued == 3
         assert q.peak_occupancy == 3
 
-    def test_pop_first_ready_skips_unready(self):
-        q = BoundedQueue(4)
-        a, b = req(1), req(2)
-        q.push(a)
-        q.push(b)
-        got = q.pop_first_ready(lambda r: r.block == 2)
-        assert got is b
-        assert list(q) == [a]
-
-    def test_pop_first_ready_window_limits_search(self):
-        q = BoundedQueue(8)
-        for i in range(5):
-            q.push(req(i))
-        got = q.pop_first_ready(lambda r: r.block == 4, window=2)
-        assert got is None
-        assert len(q) == 5
-
-    def test_pop_first_ready_none_when_empty(self):
-        assert BoundedQueue(2).pop_first_ready(lambda r: True) is None
-
 
 class TestQueueSet:
     def test_request_type_routing(self):

@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: registry, tracer, profiler, wiring."""
+"""Tests for the telemetry subsystem: registry, tracer, sampler, wiring."""
 
 import json
 
@@ -6,13 +6,14 @@ import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigError, TraceFormatError
+from repro.memctrl.request import MemRequest, RequestType
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
 from repro.telemetry import (
     NULL_TRACER,
     MetricRegistry,
-    Profiler,
+    MetricSampler,
     TelemetryConfig,
     Tracer,
     format_summary,
@@ -20,6 +21,7 @@ from repro.telemetry import (
     summarize_trace,
     validate_chrome_trace,
 )
+from repro.telemetry.observers import latency_histograms, request_spans
 from repro.utils.units import parse_duration
 
 
@@ -263,7 +265,7 @@ class TestNullTracer:
 
 
 # ----------------------------------------------------------------------
-# Profiler
+# MetricSampler
 # ----------------------------------------------------------------------
 class TestProfiler:
     def test_periodic_sampling(self):
@@ -271,13 +273,13 @@ class TestProfiler:
         registry = MetricRegistry()
         registry.gauge("engine.now", lambda: sim.now)
         tracer = Tracer(lambda: sim.now)
-        profiler = Profiler(
+        sampler = MetricSampler(
             sim, registry, tracer, interval_ns=100.0, keep_samples=True
         )
-        profiler.start()
+        sampler.start()
         sim.run(until=1000.0)
-        assert profiler.ticks == 10
-        assert len(profiler.samples) == 10
+        assert sampler.ticks == 10
+        assert len(sampler.samples) == 10
         counters = [e for e in tracer.events() if e.ph == "C"]
         assert len(counters) == 10
         assert counters[0].name == "engine"
@@ -290,20 +292,59 @@ class TestProfiler:
         hist = registry.histogram("m.hist", bounds=[10])
         hist.record(5)
         tracer = Tracer(lambda: sim.now)
-        Profiler(sim, registry, tracer, interval_ns=50.0).start()
+        MetricSampler(sim, registry, tracer, interval_ns=50.0).start()
         sim.run(until=50.0)
         (event,) = [e for e in tracer.events() if e.ph == "C"]
         assert event.args == {"scalar": 1}
 
     def test_invalid_interval(self):
         with pytest.raises(ConfigError):
-            Profiler(Simulator(), MetricRegistry(), interval_ns=0)
+            MetricSampler(Simulator(), MetricRegistry(), interval_ns=0)
 
     def test_double_start_rejected(self):
-        profiler = Profiler(Simulator(), MetricRegistry(), interval_ns=1.0)
-        profiler.start()
+        sampler = MetricSampler(Simulator(), MetricRegistry(), interval_ns=1.0)
+        sampler.start()
         with pytest.raises(ConfigError):
-            profiler.start()
+            sampler.start()
+
+
+# ----------------------------------------------------------------------
+# Controller observers
+# ----------------------------------------------------------------------
+class TestControllerObservers:
+    def test_request_span_and_retention_violation(self, sim, controller):
+        tracer = Tracer(lambda: sim.now)
+        controller.add_observer(on_complete=request_spans(tracer))
+        late = MemRequest(
+            rtype=RequestType.RRM_REFRESH, block=0, n_sets=3, deadline_ns=10.0
+        )
+        controller.enqueue(late)
+        sim.run()
+        span, instant = tracer.events()
+        assert (span.ph, span.name, span.cat) == ("X", "rrm_refresh", "memctrl")
+        assert span.ts_ns == late.start_time_ns
+        assert span.dur_ns == late.finish_time_ns - late.start_time_ns
+        assert span.args == {"block": 0, "wait_ns": 0.0, "n_sets": 3}
+        assert span.tid == late.bank_index
+        assert (instant.ph, instant.name) == ("i", "retention_violation")
+        assert instant.ts_ns == late.finish_time_ns
+        assert instant.args == {
+            "block": 0, "late_ns": late.finish_time_ns - 10.0,
+        }
+
+    def test_latency_histograms_record_demand_traffic(self, sim, controller):
+        registry = MetricRegistry()
+        controller.add_observer(on_complete=latency_histograms(registry))
+        controller.enqueue(MemRequest(rtype=RequestType.READ, block=0))
+        controller.enqueue(MemRequest(rtype=RequestType.WRITE, block=1, n_sets=7))
+        controller.enqueue(
+            MemRequest(rtype=RequestType.RRM_REFRESH, block=2, n_sets=3)
+        )
+        sim.run()
+        snap = registry.snapshot()
+        assert snap["memctrl.read_latency_hist_ns"]["count"] == 1
+        assert snap["memctrl.write_latency_hist_ns"]["count"] == 1
+        assert controller.stats.rrm_refreshes_completed == 1
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +380,7 @@ class TestSimulatorMetrics:
 def _strip_wall_time(result):
     d = result.to_json_dict()
     d.pop("wall_time_s", None)
-    # Engine mechanics, not simulation statistics: a profiler's periodic
+    # Engine mechanics, not simulation statistics: a sampler's periodic
     # ticks are themselves events, so an observed run legitimately
     # processes more of them. The simulation-statistics surface that
     # must stay bit-identical is as_dict(), which excludes both.

@@ -94,7 +94,7 @@ def _run_with_checker(config, scheme):
     checker = RetentionIntegrityChecker(
         scaled_modes, global_refresh_interval_s=interval
     )
-    system.controller.add_completion_listener(checker.on_completion)
+    system.controller.add_observer(on_complete=checker.on_completion)
     system.run()
     checker.finalize(system.sim.now)
     return checker
